@@ -11,7 +11,7 @@ import repro.tpch.TpchPruning
 object TpchPruningJob {
   def main(args: Array[String]): Unit = {
     val sf = args.lift(0).map(_.toDouble).getOrElse(0.1)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("tpch-pruning")
       .getOrCreate()

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.meta.PartitionMeta
+import repro.meta.{PartitionMeta, TableStats}
 
 /** Classification of one micro-partition against a query predicate (§4.1):
   * `NotMatching` partitions are pruned, `PartiallyMatching` stay in the scan
@@ -22,32 +22,45 @@ final case class ClassifiedPartition(meta: PartitionMeta, cls: MatchClass) {
 /** Result of filter pruning over a table's partitions. */
 final case class FilterPruneResult(partitions: Seq[ClassifiedPartition]) {
   def total: Int = partitions.size
-  def scanSet: Seq[PartitionMeta]       = partitions.filter(_.inScanSet).map(_.meta)
-  def fullyMatching: Seq[PartitionMeta] = partitions.filter(_.fullyMatching).map(_.meta)
+  lazy val scanSet: Seq[PartitionMeta]       = partitions.filter(_.inScanSet).map(_.meta)
+  lazy val fullyMatching: Seq[PartitionMeta] = partitions.filter(_.fullyMatching).map(_.meta)
   def prunedCount: Int = partitions.count(!_.inScanSet)
   def pruningRatio: Double = if (total == 0) 0.0 else prunedCount.toDouble / total
 }
 
-/** §3 compile-time filter pruning + §4.2 fully-matching detection.
+/** §3 compile-time filter pruning + §4.2 fully-matching detection, in one
+  * evaluation of the predicate per partition.
   *
-  * Pass 1 evaluates the predicate against each partition's metadata and
-  * removes partitions that cannot contain matching rows. Pass 2 runs the
-  * *inverted* predicate over the surviving partitions: a partition that
-  * cannot contain any row failing the predicate is fully-matching.
-  * Partitions with zero rows are vacuously not-matching.
+  * A partition where TRUE is not a possible outcome cannot contain matching
+  * rows and is pruned. A partition where TRUE is the *only* possible outcome
+  * is fully-matching: this is the paper's second pass over the inverted
+  * predicate `p IS NOT TRUE` (whose TRUE outcomes are p's FALSE and NULL
+  * ones), read off the same outcome set. Partitions with zero rows are
+  * vacuously not-matching.
   */
 object FilterPruner {
 
-  def classify(parts: Seq[PartitionMeta], pred: PExpr): FilterPruneResult = {
-    val inverted = Rewrites.invert(pred)
-    FilterPruneResult(parts.map { meta =>
+  def classify(stats: TableStats, pred: PExpr): FilterPruneResult =
+    classifyAt(stats, pred, stats.metas.indices)
+
+  /** Classify only the partitions of `stats` at `indices`. */
+  def classifyAt(stats: TableStats, pred: PExpr, indices: Seq[Int]): FilterPruneResult = {
+    val bound = RangeEval.bind(pred, stats)
+    FilterPruneResult(indices.map { i =>
       val cls =
-        if (!RangeEval.mayMatch(pred, meta)) MatchClass.NotMatching
-        else if (!RangeEval.mayMatch(inverted, meta)) MatchClass.FullyMatching
-        else MatchClass.PartiallyMatching
-      ClassifiedPartition(meta, cls)
+        if (stats.rowCount(i) == 0) MatchClass.NotMatching
+        else {
+          val o = bound.outcomes(i)
+          if ((o & RangeEval.T) == 0) MatchClass.NotMatching
+          else if (o == RangeEval.T) MatchClass.FullyMatching
+          else MatchClass.PartiallyMatching
+        }
+      ClassifiedPartition(stats.metas(i), cls)
     })
   }
+
+  def classify(parts: Seq[PartitionMeta], pred: PExpr): FilterPruneResult =
+    classify(TableStats.ofSeq(parts), pred)
 
   /** A query without predicates scans everything; every non-empty partition
     * is trivially fully-matching (§4.2).
@@ -57,6 +70,9 @@ object FilterPruner {
       val cls = if (meta.rowCount == 0) MatchClass.NotMatching else MatchClass.FullyMatching
       ClassifiedPartition(meta, cls)
     })
+
+  def classifyOpt(stats: TableStats, pred: Option[PExpr]): FilterPruneResult =
+    pred.map(classify(stats, _)).getOrElse(noPredicate(stats.metas))
 
   def classifyOpt(parts: Seq[PartitionMeta], pred: Option[PExpr]): FilterPruneResult =
     pred.map(classify(parts, _)).getOrElse(noPredicate(parts))

@@ -1,7 +1,7 @@
 package repro.core
 
 import scala.collection.mutable
-import repro.meta.PartitionMeta
+import repro.meta.{PartitionMeta, TableStats}
 
 /** §3.2 — the adaptive pruning tree.
   *
@@ -29,6 +29,8 @@ object PruningTree {
     private[core] var pruned: Long = 0L
     private[core] var nanos: Long  = 0L
     private[core] var active: Boolean = true
+    /** `pred` bound to the stats of the current [[AdaptivePruner]] run. */
+    private[core] var bound: RangeEval.Bound = _
 
     def isActive: Boolean = active
     def evalCount: Long   = evals
@@ -82,32 +84,52 @@ final class AdaptivePruner(
 
   private var seen = 0L
 
-  /** Evaluate one partition; true = may match (keep), false = prune. */
-  def mayMatch(meta: PartitionMeta): Boolean = {
-    if (meta.rowCount == 0) return false
-    val r = evalNode(root, meta)
-    seen += 1
-    if (seen % config.reorderEvery == 0) reorder(root)
-    if (seen % config.cutoffCheckEvery == 0) cutoff(root, parentIsAnd = true)
-    r
+  private val leaves: Seq[Leaf] = {
+    def walk(n: Node): Seq[Leaf] = n match {
+      case l: Leaf  => Seq(l)
+      case i: Inner => i.children.toSeq.flatMap(walk)
+    }
+    walk(root)
   }
 
-  def run(parts: Seq[PartitionMeta]): Seq[PartitionMeta] = parts.filter(mayMatch)
+  /** Evaluate one partition; true = may match (keep), false = prune. */
+  def mayMatch(meta: PartitionMeta): Boolean = run(Seq(meta)).nonEmpty
 
-  private def evalNode(n: Node, meta: PartitionMeta): Boolean = n match {
+  def run(parts: Seq[PartitionMeta]): Seq[PartitionMeta] = {
+    val stats = TableStats.ofSeq(parts)
+    keptIndices(stats).map(stats.metas)
+  }
+
+  /** Indices of the partitions of `stats` that may match. Every leaf is bound
+    * to `stats` once, then the partitions stream through the tree in order.
+    */
+  def keptIndices(stats: TableStats): IndexedSeq[Int] = {
+    leaves.foreach(l => l.bound = RangeEval.bind(l.pred, stats))
+    stats.metas.indices.filter { i =>
+      stats.rowCount(i) > 0 && {
+        val r = evalNode(root, i)
+        seen += 1
+        if (seen % config.reorderEvery == 0) reorder(root)
+        if (seen % config.cutoffCheckEvery == 0) cutoff(root, parentIsAnd = true)
+        r
+      }
+    }
+  }
+
+  private def evalNode(n: Node, p: Int): Boolean = n match {
     case l: Leaf =>
       if (!l.active) true // cut off: conservatively assume every partition passes
       else {
         val t0 = clock()
-        val keep = RangeEval.mayMatch(l.pred, meta)
+        val keep = l.bound.mayMatch(p)
         l.nanos += (clock() - t0) + l.artificialCostNanos
         l.evals += 1
         if (!keep) l.pruned += 1
         keep
       }
     case i: Inner =>
-      if (i.isAnd) i.children.forall(evalNode(_, meta)) // short-circuits on first prune
-      else i.children.exists(evalNode(_, meta))         // short-circuits on first may-match
+      if (i.isAnd) i.children.forall(evalNode(_, p)) // short-circuits on first prune
+      else i.children.exists(evalNode(_, p))         // short-circuits on first may-match
   }
 
   private def score(n: Node, forAnd: Boolean): Double = n match {

@@ -5,15 +5,22 @@ import PExpr._
 
 /** Metadata-only (zone-map) evaluation of pruning expressions (§3.1).
   *
-  * Value expressions evaluate to a conservative [[RangeEval.VR]] — a min/max
-  * hull of all values the expression can take on rows of the partition, plus
-  * nullability flags.
+  * Value expressions evaluate to a conservative range — a min/max hull of all
+  * values the expression can take on rows of the partition — plus
+  * nullability flags ([[RangeEval.VR]]).
   *
-  * Predicates evaluate to an [[RangeEval.Outcomes]] — the *superset* of
-  * row-level SQL outcomes (TRUE / FALSE / NULL) that rows of the partition
-  * can produce. This is strictly more precise than three-valued logic:
-  * SQL's NULL must be tracked separately or `NOT p` would wrongly certify
-  * fully-matching partitions over nullable columns.
+  * Predicates evaluate to the *superset* of row-level SQL outcomes (TRUE /
+  * FALSE / NULL) that rows of the partition can produce, encoded as a set of
+  * the bits [[RangeEval.T]], [[RangeEval.F]] and [[RangeEval.N]]. This is
+  * strictly more precise than three-valued logic: SQL's NULL must be tracked
+  * separately or `NOT p` would wrongly certify fully-matching partitions over
+  * nullable columns.
+  *
+  * A predicate is bound once to a table's [[TableStats]] ([[RangeEval.bind]]):
+  * binding resolves every column to its arrays and does all work that does
+  * not depend on the partition (literal ranges, LIKE widening, prefix upper
+  * bounds, IN-list sorting). The bound form then evaluates partition `i`
+  * without maps, boxing or allocation.
   *
   * Soundness contract (property-tested): if some row of the partition
   * evaluates the predicate to outcome o, then o is in the computed set.
@@ -21,12 +28,17 @@ import PExpr._
   */
 object RangeEval {
 
+  /** Outcome-set bits. */
+  final val T = 1
+  final val F = 2
+  final val N = 4
+  private final val TF  = T | F
+  private final val TFN = T | F | N
+
   /** Derived value info: hull range over non-null outcomes (None = unknown),
     * whether some row may produce null, and whether every row produces null.
     */
   final case class VR(range: Option[ValueRange], mayBeNull: Boolean, allNull: Boolean)
-
-  private val unknownVR = VR(None, mayBeNull = true, allNull = false)
 
   /** Possible row-level outcomes of a predicate on this partition. */
   final case class Outcomes(t: Boolean, f: Boolean, n: Boolean) {
@@ -41,218 +53,33 @@ object RangeEval {
       else Tri.Unknown
   }
 
-  private val T = Outcomes(t = true, f = false, n = false)
-  private val F = Outcomes(t = false, f = true, n = false)
-  private val N = Outcomes(t = false, f = false, n = true)
-  private val TF = Outcomes(t = true, f = true, n = false)
-  private val TFN = Outcomes(t = true, f = true, n = true)
-
-  private def withNull(o: Outcomes, mayBeNull: Boolean): Outcomes =
-    if (mayBeNull) o.copy(n = true) else o
-
-  def evalValue(e: PExpr, meta: PartitionMeta): VR = e match {
-    case Col(n) =>
-      meta.col(n) match {
-        case None        => unknownVR // unknown column: cannot reason
-        case Some(stats) =>
-          VR(stats.range, stats.hasNulls, stats.allNull(meta.rowCount))
-      }
-    case Lit(v)  => VR(Some(ValueRange.point(v)), mayBeNull = false, allNull = false)
-    case NullLit => VR(None, mayBeNull = true, allNull = true)
-
-    case Arith(op, l, r) =>
-      val (a, b) = (evalValue(l, meta), evalValue(r, meta))
-      val range = for {
-        ra <- a.range; rb <- b.range
-        out <- op match {
-          case ArithOp.Add => ValueRange.add(ra, rb)
-          case ArithOp.Sub => ValueRange.subtract(ra, rb)
-          case ArithOp.Mul => ValueRange.multiply(ra, rb)
-          case ArithOp.Div => ValueRange.divide(ra, rb)
-        }
-      } yield out
-      // Division may yield NULL (divide-by-zero) even on non-null inputs.
-      val divNull = op == ArithOp.Div
-      VR(range, a.mayBeNull || b.mayBeNull || divNull, a.allNull || b.allNull)
-
-    case Neg(x) =>
-      val a = evalValue(x, meta)
-      VR(a.range.flatMap(ValueRange.negate), a.mayBeNull, a.allNull)
-
-    case If(c, t, f) =>
-      val co = evalOutcomes(c, meta)
-      if (co.t && !co.f && !co.n) evalValue(t, meta)
-      else if (!co.t) evalValue(f, meta) // false and NULL both take else
-      else {
-        val (a, b) = (evalValue(t, meta), evalValue(f, meta))
-        val hull = for { ra <- a.range; rb <- b.range; u <- ra.union(rb) } yield u
-        VR(hull, a.mayBeNull || b.mayBeNull, a.allNull && b.allNull)
-      }
-
-    case CaseWhen(branches, otherwise) =>
-      evalValue(desugarCase(branches, otherwise), meta)
-
-    case _: Cmp | _: And | _: Or | _: Not | _: LitBool | _: In | _: Like |
-         _: StartsWith | _: EndsWith | _: Contains | _: IsNull | _: IsNotNull |
-         _: IsNotTrue =>
-      // A predicate used in value position (boolean expression).
-      val o = evalOutcomes(e, meta)
-      val range = (o.t, o.f) match {
-        case (true, false) => Some(ValueRange.point(Scalar.BoolV(true)))
-        case (false, true) => Some(ValueRange.point(Scalar.BoolV(false)))
-        case (true, true)  => Some(ValueRange(Scalar.BoolV(false), Scalar.BoolV(true)))
-        case (false, false) => None
-      }
-      VR(range, o.n, o.n && !o.t && !o.f)
-
-    case Opaque(_) => unknownVR
+  object Outcomes {
+    def of(bits: Int): Outcomes = Outcomes((bits & T) != 0, (bits & F) != 0, (bits & N) != 0)
   }
 
-  private def desugarCase(branches: Seq[(PExpr, PExpr)], otherwise: Option[PExpr]): PExpr =
-    branches.foldRight(otherwise.getOrElse(NullLit): PExpr) { case ((c, v), acc) => If(c, v, acc) }
+  /** A predicate bound to one table's stats. Evaluation reuses per-node
+    * registers, so a bound predicate must not be shared between threads.
+    */
+  final class Bound private[RangeEval] (root: Pred, rowCount: Array[Long]) {
+    /** Possible outcomes on partition `i`: a set of [[T]], [[F]] and [[N]]. */
+    def outcomes(i: Int): Int = root.eval(i)
+    /** May partition `i` contain a matching row? (pass 1 of §4.2) */
+    def mayMatch(i: Int): Boolean = rowCount(i) > 0 && (root.eval(i) & T) != 0
+  }
+
+  def bind(pred: PExpr, stats: TableStats): Bound = new Bound(bindPred(pred, stats), stats.rowCount)
+
+  // ---- per-partition wrappers: bind over a one-partition table ------------
+
+  def evalValue(e: PExpr, meta: PartitionMeta): VR = {
+    val v = bindValue(e, TableStats.of(Vector(meta)))
+    v.eval(0)
+    VR(if (v.known) Some(ValueRange(v.lo.toScalar, v.hi.toScalar)) else None, v.mayBeNull, v.allNull)
+  }
 
   /** Possible row-level outcomes of a predicate, from metadata alone. */
-  def evalOutcomes(e: PExpr, meta: PartitionMeta): Outcomes = e match {
-    case LitBool(b) => if (b) T else F
-
-    case And(l, r) => kleeneCombine(evalOutcomes(l, meta), evalOutcomes(r, meta), kleeneAnd)
-    case Or(l, r)  => kleeneCombine(evalOutcomes(l, meta), evalOutcomes(r, meta), kleeneOr)
-
-    case Not(x) =>
-      val o = evalOutcomes(x, meta)
-      Outcomes(t = o.f, f = o.t, n = o.n)
-
-    case IsNotTrue(x) =>
-      val o = evalOutcomes(x, meta)
-      Outcomes(t = o.f || o.n, f = o.t, n = false)
-
-    case Cmp(op, l, r) =>
-      val (a, b) = (evalValue(l, meta), evalValue(r, meta))
-      if (a.allNull || b.allNull) N
-      else {
-        val base = (a.range, b.range) match {
-          case (Some(ra), Some(rb)) =>
-            op match {
-              case CmpOp.Lt  => ValueRange.ltTri(ra, rb)
-              case CmpOp.Lte => ValueRange.lteTri(ra, rb)
-              case CmpOp.Gt  => ValueRange.gtTri(ra, rb)
-              case CmpOp.Gte => ValueRange.gteTri(ra, rb)
-              case CmpOp.Eq  => ValueRange.eqTri(ra, rb)
-              case CmpOp.Neq => ValueRange.eqTri(ra, rb).not
-            }
-          case _ => Tri.Unknown
-        }
-        val mayBeNull = a.mayBeNull || b.mayBeNull
-        base match {
-          case Tri.True    => withNull(T, mayBeNull)
-          case Tri.False   => withNull(F, mayBeNull)
-          case Tri.Unknown => withNull(TF, mayBeNull)
-        }
-      }
-
-    case In(x, vs) =>
-      val a = evalValue(x, meta)
-      if (vs.isEmpty) F
-      else if (a.allNull) N
-      else a.range match {
-        case None => withNull(TF, a.mayBeNull)
-        case Some(r) =>
-          val anyInside = vs.exists(r.contains)
-          val isPoint   = Scalar.eq(r.min, r.max).contains(true)
-          if (!anyInside) withNull(F, a.mayBeNull)
-          else if (isPoint && vs.exists(v => Scalar.eq(v, r.min).contains(true)))
-            withNull(T, a.mayBeNull)
-          else withNull(TF, a.mayBeNull)
-      }
-
-    case Like(x, pattern) =>
-      Rewrites.widenLike(x, pattern) match {
-        case Rewrites.ExactExpr(p) => evalOutcomes(p, meta)
-        case Rewrites.WidenedTo(p) =>
-          // Imprecise rewrite (§3.1): original ⇒ widened. If the widened form
-          // cannot be TRUE, neither can the original; a TRUE widened outcome
-          // only tells us the original may be TRUE or FALSE.
-          val w = evalOutcomes(p, meta)
-          Outcomes(t = w.t, f = w.f || w.t, n = w.n)
-        case Rewrites.NotWidenable =>
-          val a = evalValue(x, meta)
-          if (a.allNull) N else withNull(TF, a.mayBeNull)
-      }
-
-    case StartsWith(x, prefix) =>
-      val a = evalValue(x, meta)
-      if (a.allNull) N
-      else a.range match {
-        case Some(ValueRange(Scalar.StringV(mn), Scalar.StringV(mx))) =>
-          val below = mx < prefix
-          val above = Rewrites.prefixUpperBound(prefix).exists(ub => mn >= ub)
-          if (below || above) withNull(F, a.mayBeNull)
-          else if (mn.startsWith(prefix) && mx.startsWith(prefix)) withNull(T, a.mayBeNull)
-          else withNull(TF, a.mayBeNull)
-        case _ => withNull(TF, a.mayBeNull)
-      }
-
-    case EndsWith(x, _) =>
-      val a = evalValue(x, meta)
-      if (a.allNull) N else withNull(TF, a.mayBeNull)
-    case Contains(x, _) =>
-      val a = evalValue(x, meta)
-      if (a.allNull) N else withNull(TF, a.mayBeNull)
-
-    case IsNull(x) =>
-      val a = evalValue(x, meta)
-      if (a.allNull) T
-      else if (!a.mayBeNull) F
-      else TF
-
-    case IsNotNull(x) =>
-      val o = evalOutcomes(IsNull(x), meta)
-      Outcomes(t = o.f, f = o.t, n = false)
-
-    case If(_, _, _) | CaseWhen(_, _) =>
-      // Boolean-valued conditional: evaluate as a value, map back.
-      val v = evalValue(e, meta)
-      if (v.allNull) N
-      else v.range match {
-        case Some(ValueRange(Scalar.BoolV(mn), Scalar.BoolV(mx))) =>
-          withNull(Outcomes(t = mx, f = !mn, n = false), v.mayBeNull)
-        case _ => withNull(TF, v.mayBeNull)
-      }
-
-    case Col(_) => evalOutcomes(Cmp(CmpOp.Eq, e, Lit(Scalar.BoolV(true))), meta)
-
-    case Opaque(_) => TFN
-    case _         => TFN
-  }
-
-  // Exact Kleene tables over individual outcomes; combining possible-outcome
-  // sets by enumeration keeps the superset property.
-  private sealed trait K
-  private case object KT extends K; private case object KF extends K; private case object KN extends K
-
-  private def kleeneAnd(a: K, b: K): K = (a, b) match {
-    case (KF, _) | (_, KF) => KF
-    case (KT, KT)          => KT
-    case _                 => KN
-  }
-  private def kleeneOr(a: K, b: K): K = (a, b) match {
-    case (KT, _) | (_, KT) => KT
-    case (KF, KF)          => KF
-    case _                 => KN
-  }
-
-  private def toKs(o: Outcomes): Seq[K] =
-    (if (o.t) Seq(KT) else Nil) ++ (if (o.f) Seq(KF) else Nil) ++ (if (o.n) Seq(KN) else Nil)
-
-  private def kleeneCombine(l: Outcomes, r: Outcomes, op: (K, K) => K): Outcomes = {
-    var t = false; var f = false; var n = false
-    for (x <- toKs(l); y <- toKs(r)) op(x, y) match {
-      case KT => t = true
-      case KF => f = true
-      case KN => n = true
-    }
-    Outcomes(t, f, n)
-  }
+  def evalOutcomes(e: PExpr, meta: PartitionMeta): Outcomes =
+    Outcomes.of(bind(e, TableStats.of(Vector(meta))).outcomes(0))
 
   /** Three-valued projection, used by reporting and simple tests. */
   def evalPred(e: PExpr, meta: PartitionMeta): Tri = evalOutcomes(e, meta).tri
@@ -260,4 +87,432 @@ object RangeEval {
   /** May the partition contain a matching row? (pass 1 of §4.2) */
   def mayMatch(pred: PExpr, meta: PartitionMeta): Boolean =
     meta.rowCount > 0 && evalOutcomes(pred, meta).mayMatch
+
+  // ---- Kleene AND / OR lifted to outcome sets ------------------------------
+
+  private def lift(op: (Int, Int) => Int): Array[Int] =
+    Array.tabulate(64) { ab =>
+      val (a, b) = (ab >> 3, ab & 7)
+      var out = 0
+      for (x <- Seq(T, F, N) if (a & x) != 0; y <- Seq(T, F, N) if (b & y) != 0) out |= op(x, y)
+      out
+    }
+  private val andTable = lift((x, y) => if (x == F || y == F) F else if (x == T && y == T) T else N)
+  private val orTable  = lift((x, y) => if (x == T || y == T) T else if (x == F && y == F) F else N)
+
+  // ---- scalar registers ------------------------------------------------------
+
+  // Type families of an endpoint; FN marks an unknown range.
+  private final val FN = 0
+  private final val FL = 1 // long
+  private final val FD = 2 // double
+  private final val FS = 3 // string
+  private final val FT = 4 // date (days)
+  private final val FB = 5 // boolean (0/1)
+  /** Comparison result for incomparable families: fails `< 0`, `<= 0`, `== 0`. */
+  private final val NC = 2
+
+  /** One unboxed [[Scalar]]: `l` holds longs, date days and booleans. */
+  private final class End {
+    var fam: Int = FN
+    var l: Long = 0L
+    var d: Double = 0.0
+    var s: String = null
+
+    def setLong(f: Int, v: Long): Unit = { fam = f; l = v }
+    def setDouble(v: Double): Unit = { fam = FD; d = v }
+    def setString(v: String): Unit = { fam = FS; s = v }
+    def set(o: End): Unit = { fam = o.fam; l = o.l; d = o.d; s = o.s }
+    def set(x: Scalar): Unit = x match {
+      case Scalar.LongV(v)   => setLong(FL, v)
+      case Scalar.DoubleV(v) => setDouble(v)
+      case Scalar.StringV(v) => setString(v)
+      case Scalar.DateV(v)   => setLong(FT, v.toLong)
+      case Scalar.BoolV(v)   => setLong(FB, if (v) 1L else 0L)
+    }
+    def toScalar: Scalar = fam match {
+      case FL => Scalar.LongV(l)
+      case FD => Scalar.DoubleV(d)
+      case FS => Scalar.StringV(s)
+      case FT => Scalar.DateV(l.toInt)
+      case _  => Scalar.BoolV(l != 0L)
+    }
+    /** [[Scalar.asDouble]] is defined. */
+    def numeric: Boolean = fam == FL || fam == FD || fam == FT
+    def asDouble: Double = if (fam == FD) d else l.toDouble
+  }
+
+  @inline private def nd(x: Double): Double = if (x == 0.0) 0.0 else x
+
+  /** [[Scalar.compare]] on registers, with [[NC]] for None. */
+  private def cmp(a: End, b: End): Int =
+    if (a.fam == FL && b.fam == FL) java.lang.Long.compare(a.l, b.l)
+    else if ((a.fam == FL || a.fam == FD) && (b.fam == FL || b.fam == FD))
+      java.lang.Double.compare(nd(a.asDouble), nd(b.asDouble))
+    else if (a.fam != b.fam || a.fam == FN) NC
+    else if (a.fam == FS) Integer.signum(a.s.compareTo(b.s))
+    else java.lang.Long.compare(a.l, b.l)
+
+  // ---- bound value expressions ---------------------------------------------
+
+  /** A value expression; `eval(i)` fills the registers for partition `i`. */
+  private abstract class Value {
+    val lo = new End
+    val hi = new End
+    var mayBeNull = false
+    var allNull = false
+    def known: Boolean = lo.fam != FN
+    def unknown(): Unit = { lo.fam = FN; hi.fam = FN }
+    def set(o: Value): Unit = {
+      lo.set(o.lo); hi.set(o.hi); mayBeNull = o.mayBeNull; allNull = o.allNull
+    }
+    def eval(i: Int): Unit
+  }
+
+  /** Partition-invariant value (literal, NULL, Opaque). */
+  private final class Const(range: Option[ValueRange], nullable: Boolean, nullOnly: Boolean) extends Value {
+    range match {
+      case Some(r) => lo.set(r.min); hi.set(r.max)
+      case None    => unknown()
+    }
+    mayBeNull = nullable
+    allNull = nullOnly
+    def eval(i: Int): Unit = ()
+  }
+
+  private abstract class ColValue(c: ColumnArrays, rowCount: Array[Long]) extends Value {
+    final def eval(i: Int): Unit = {
+      val st = c.state(i)
+      if (st == ColumnArrays.Absent) { unknown(); mayBeNull = true; allNull = false }
+      else {
+        val nulls = c.nullCount(i)
+        mayBeNull = nulls > 0
+        allNull = nulls == rowCount(i)
+        if (st == ColumnArrays.Ranged) load(i) else unknown()
+      }
+    }
+    protected def load(i: Int): Unit
+  }
+
+  private def colValue(c: ColumnArrays, rowCount: Array[Long]): Value = c match {
+    case a: ColumnArrays.Longs =>
+      val fam = if (a.dates) FT else FL
+      new ColValue(c, rowCount) {
+        def load(i: Int): Unit = { lo.setLong(fam, a.min(i)); hi.setLong(fam, a.max(i)) }
+      }
+    case a: ColumnArrays.Doubles => new ColValue(c, rowCount) {
+      def load(i: Int): Unit = { lo.setDouble(a.min(i)); hi.setDouble(a.max(i)) }
+    }
+    case a: ColumnArrays.Strings => new ColValue(c, rowCount) {
+      def load(i: Int): Unit = { lo.setString(a.min(i)); hi.setString(a.max(i)) }
+    }
+    case a: ColumnArrays.Bools => new ColValue(c, rowCount) {
+      def load(i: Int): Unit = {
+        lo.setLong(FB, if (a.min(i)) 1L else 0L); hi.setLong(FB, if (a.max(i)) 1L else 0L)
+      }
+    }
+    case a: ColumnArrays.Scalars => new ColValue(c, rowCount) {
+      def load(i: Int): Unit = { lo.set(a.min(i)); hi.set(a.max(i)) }
+    }
+  }
+
+  /** Interval arithmetic. Two all-long ranges stay exact (overflow gives an
+    * unknown range); otherwise endpoints widen to double, and division is
+    * always in double. Division by a range containing 0 is unknown and may
+    * yield NULL (divide-by-zero) even on non-null inputs.
+    */
+  private final class ArithValue(op: ArithOp, a: Value, b: Value) extends Value {
+    private val zero = { val z = new End; z.setDouble(0.0); z }
+
+    def eval(i: Int): Unit = {
+      a.eval(i); b.eval(i)
+      mayBeNull = a.mayBeNull || b.mayBeNull || op == ArithOp.Div
+      allNull = a.allNull || b.allNull
+      if (!a.known || !b.known) unknown()
+      else {
+        val longs = a.lo.fam == FL && a.hi.fam == FL && b.lo.fam == FL && b.hi.fam == FL
+        try op match {
+          case ArithOp.Add =>
+            if (longs) { lo.setLong(FL, Math.addExact(a.lo.l, b.lo.l)); hi.setLong(FL, Math.addExact(a.hi.l, b.hi.l)) }
+            else doubles(a.lo, b.lo, a.hi, b.hi)(_ + _)
+          case ArithOp.Sub =>
+            if (longs) { lo.setLong(FL, Math.subtractExact(a.lo.l, b.hi.l)); hi.setLong(FL, Math.subtractExact(a.hi.l, b.lo.l)) }
+            else doubles(a.lo, b.hi, a.hi, b.lo)(_ - _)
+          case ArithOp.Mul =>
+            if (longs) {
+              val p1 = Math.multiplyExact(a.lo.l, b.lo.l)
+              val p2 = Math.multiplyExact(a.lo.l, b.hi.l)
+              val p3 = Math.multiplyExact(a.hi.l, b.lo.l)
+              val p4 = Math.multiplyExact(a.hi.l, b.hi.l)
+              lo.setLong(FL, math.min(math.min(p1, p2), math.min(p3, p4)))
+              hi.setLong(FL, math.max(math.max(p1, p2), math.max(p3, p4)))
+            } else corners(_ * _)
+          case ArithOp.Div =>
+            if (cmp(b.lo, zero) <= 0 && cmp(zero, b.hi) <= 0) unknown() else corners(_ / _)
+        } catch { case _: ArithmeticException => unknown() }
+      }
+    }
+
+    /** lo = x1 op y1, hi = x2 op y2 in double, if all four are numeric. */
+    private def doubles(x1: End, y1: End, x2: End, y2: End)(f: (Double, Double) => Double): Unit =
+      if (x1.numeric && y1.numeric && x2.numeric && y2.numeric) {
+        lo.setDouble(f(x1.asDouble, y1.asDouble)); hi.setDouble(f(x2.asDouble, y2.asDouble))
+      } else unknown()
+
+    /** Hull of the four corner results in double, ordered by `Double.compare`. */
+    private def corners(f: (Double, Double) => Double): Unit =
+      if (a.lo.numeric && a.hi.numeric && b.lo.numeric && b.hi.numeric) {
+        val c1 = f(a.lo.asDouble, b.lo.asDouble)
+        val c2 = f(a.lo.asDouble, b.hi.asDouble)
+        val c3 = f(a.hi.asDouble, b.lo.asDouble)
+        val c4 = f(a.hi.asDouble, b.hi.asDouble)
+        def min(x: Double, y: Double) = if (java.lang.Double.compare(y, x) < 0) y else x
+        def max(x: Double, y: Double) = if (java.lang.Double.compare(y, x) > 0) y else x
+        lo.setDouble(min(min(c1, c2), min(c3, c4))); hi.setDouble(max(max(c1, c2), max(c3, c4)))
+      } else unknown()
+  }
+
+  private final class NegValue(a: Value) extends Value {
+    def eval(i: Int): Unit = {
+      a.eval(i)
+      mayBeNull = a.mayBeNull; allNull = a.allNull
+      if (a.known && a.lo.numeric && a.hi.numeric) { lo.setDouble(-a.hi.asDouble); hi.setDouble(-a.lo.asDouble) }
+      else unknown()
+    }
+  }
+
+  /** `IF(c, t, f)`: a decided condition picks its branch (FALSE and NULL take
+    * the else-branch); otherwise the range is the hull of both (§3.1).
+    */
+  private final class IfValue(c: Pred, t: Value, f: Value) extends Value {
+    def eval(i: Int): Unit = {
+      val co = c.eval(i)
+      if (co == T) { t.eval(i); set(t) }
+      else if ((co & T) == 0) { f.eval(i); set(f) }
+      else {
+        t.eval(i); f.eval(i)
+        mayBeNull = t.mayBeNull || f.mayBeNull
+        allNull = t.allNull && f.allNull
+        if (!t.known || !f.known) unknown()
+        else {
+          val cl = cmp(t.lo, f.lo)
+          val ch = cmp(t.hi, f.hi)
+          if (cl == NC || ch == NC) unknown()
+          else {
+            lo.set(if (cl <= 0) t.lo else f.lo)
+            hi.set(if (ch >= 0) t.hi else f.hi)
+          }
+        }
+      }
+    }
+  }
+
+  /** A predicate used in value position (boolean expression). */
+  private final class PredValue(p: Pred) extends Value {
+    def eval(i: Int): Unit = {
+      val o = p.eval(i)
+      mayBeNull = (o & N) != 0
+      allNull = o == N
+      (o & TF) match {
+        case T  => lo.setLong(FB, 1L); hi.setLong(FB, 1L)
+        case F  => lo.setLong(FB, 0L); hi.setLong(FB, 0L)
+        case TF => lo.setLong(FB, 0L); hi.setLong(FB, 1L)
+        case _  => unknown()
+      }
+    }
+  }
+
+  private def bindValue(e: PExpr, stats: TableStats): Value = e match {
+    case Col(n) => colValue(stats.column(n), stats.rowCount)
+    case Lit(v)  => new Const(Some(ValueRange.point(v)), nullable = false, nullOnly = false)
+    case NullLit => new Const(None, nullable = true, nullOnly = true)
+    case Arith(op, l, r) => new ArithValue(op, bindValue(l, stats), bindValue(r, stats))
+    case Neg(x) => new NegValue(bindValue(x, stats))
+    case If(c, t, f) => new IfValue(bindPred(c, stats), bindValue(t, stats), bindValue(f, stats))
+    case CaseWhen(branches, otherwise) =>
+      bindValue(branches.foldRight(otherwise.getOrElse(NullLit): PExpr) {
+        case ((c, v), acc) => If(c, v, acc)
+      }, stats)
+    case _: Cmp | _: And | _: Or | _: Not | _: LitBool | _: In | _: Like |
+         _: StartsWith | _: EndsWith | _: Contains | _: IsNull | _: IsNotNull |
+         _: IsNotTrue =>
+      new PredValue(bindPred(e, stats))
+    case Opaque(_) => new Const(None, nullable = true, nullOnly = false) // cannot reason
+  }
+
+  // ---- bound predicates ------------------------------------------------------
+
+  /** A predicate; `eval(i)` is its outcome set on partition `i`. */
+  private abstract class Pred { def eval(i: Int): Int }
+
+  private final class ConstPred(o: Int) extends Pred { def eval(i: Int): Int = o }
+
+  @inline private def withNull(o: Int, mayBeNull: Boolean): Int = if (mayBeNull) o | N else o
+  /** Swap TRUE and FALSE, keep NULL. */
+  @inline private def not(o: Int): Int = ((o & T) << 1) | ((o & F) >> 1) | (o & N)
+
+  private final class AndPred(l: Pred, r: Pred) extends Pred {
+    def eval(i: Int): Int = andTable((l.eval(i) << 3) | r.eval(i))
+  }
+  private final class OrPred(l: Pred, r: Pred) extends Pred {
+    def eval(i: Int): Int = orTable((l.eval(i) << 3) | r.eval(i))
+  }
+  private final class NotPred(x: Pred) extends Pred {
+    def eval(i: Int): Int = not(x.eval(i))
+  }
+  private final class IsNotTruePred(x: Pred) extends Pred {
+    def eval(i: Int): Int = {
+      val o = x.eval(i)
+      (if ((o & (F | N)) != 0) T else 0) | (if ((o & T) != 0) F else 0)
+    }
+  }
+
+  /** Tri-state `a op b` over two known ranges, as T, F or TF, from
+    * `hiLo = cmp(a.hi, b.lo)`, `loHi = cmp(b.hi, a.lo)` and, for (in)equality,
+    * whether both ranges are the same point (needed for `Eq`/`Neq` only).
+    */
+  private def decide(op: CmpOp, hiLo: Int, loHi: Int, samePoint: Boolean): Int = op match {
+    case CmpOp.Lt  => if (hiLo < 0) T else if (loHi <= 0) F else TF
+    case CmpOp.Lte => if (hiLo <= 0) T else if (loHi < 0) F else TF
+    case CmpOp.Gt  => if (loHi < 0) T else if (hiLo <= 0) F else TF
+    case CmpOp.Gte => if (loHi <= 0) T else if (hiLo < 0) F else TF
+    case CmpOp.Eq  => if (samePoint) T else if (hiLo < 0 || loHi < 0) F else TF
+    case CmpOp.Neq => not(decide(CmpOp.Eq, hiLo, loHi, samePoint))
+  }
+
+  private final class CmpPred(op: CmpOp, a: Value, b: Value) extends Pred {
+    private val eq = op == CmpOp.Eq || op == CmpOp.Neq
+    def eval(i: Int): Int = {
+      a.eval(i); b.eval(i)
+      if (a.allNull || b.allNull) N
+      else {
+        val base =
+          if (!a.known || !b.known) TF
+          else decide(op, cmp(a.hi, b.lo), cmp(b.hi, a.lo),
+                      eq && cmp(a.lo, a.hi) == 0 && cmp(b.lo, b.hi) == 0 && cmp(a.lo, b.lo) == 0)
+        withNull(base, a.mayBeNull || b.mayBeNull)
+      }
+    }
+  }
+
+  /** `x IN (vs)`: FALSE unless some value lies in the range; TRUE only on a
+    * point range equal to a listed value. A list of one type family is
+    * sorted once and searched when the range has that family too.
+    */
+  private final class InPred(x: Value, vs: Seq[Scalar]) extends Pred {
+    private val ends = vs.map { v => val e = new End; e.set(v); e }.toArray
+    private val family = if (ends.forall(_.fam == ends(0).fam)) ends(0).fam else FN
+    if (family != FN) java.util.Arrays.sort(ends, (p: End, q: End) => cmp(p, q))
+
+    def eval(i: Int): Int = {
+      x.eval(i)
+      if (x.allNull) N
+      else if (!x.known) withNull(TF, x.mayBeNull)
+      else {
+        var inside = false
+        var atMin = false
+        if (family != FN && x.lo.fam == family && x.hi.fam == family) {
+          // first listed value not below the range's min
+          var from = 0
+          var to = ends.length
+          while (from < to) {
+            val mid = (from + to) >>> 1
+            if (cmp(ends(mid), x.lo) < 0) from = mid + 1 else to = mid
+          }
+          inside = from < ends.length && cmp(ends(from), x.hi) <= 0
+          atMin = from < ends.length && cmp(ends(from), x.lo) == 0
+        } else {
+          var k = 0
+          while (k < ends.length) {
+            if (cmp(x.lo, ends(k)) <= 0 && cmp(ends(k), x.hi) <= 0) inside = true
+            if (cmp(ends(k), x.lo) == 0) atMin = true
+            k += 1
+          }
+        }
+        val point = cmp(x.lo, x.hi) == 0
+        if (!inside) withNull(F, x.mayBeNull)
+        else if (point && atMin) withNull(T, x.mayBeNull)
+        else withNull(TF, x.mayBeNull)
+      }
+    }
+  }
+
+  /** Imprecise rewrite (§3.1): original ⇒ widened. If the widened form cannot
+    * be TRUE, neither can the original; a TRUE widened outcome only tells us
+    * the original may be TRUE or FALSE.
+    */
+  private final class WidenedPred(w: Pred) extends Pred {
+    def eval(i: Int): Int = {
+      val o = w.eval(i)
+      if ((o & T) != 0) o | F else o
+    }
+  }
+
+  private final class StartsWithPred(x: Value, prefix: String) extends Pred {
+    private val upper = Rewrites.prefixUpperBound(prefix).orNull
+    def eval(i: Int): Int = {
+      x.eval(i)
+      if (x.allNull) N
+      else if (x.known && x.lo.fam == FS && x.hi.fam == FS) {
+        val mn = x.lo.s
+        val mx = x.hi.s
+        val below = mx < prefix
+        val above = upper != null && mn >= upper
+        if (below || above) withNull(F, x.mayBeNull)
+        else if (mn.startsWith(prefix) && mx.startsWith(prefix)) withNull(T, x.mayBeNull)
+        else withNull(TF, x.mayBeNull)
+      } else withNull(TF, x.mayBeNull)
+    }
+  }
+
+  /** A string predicate metadata cannot decide: NULL on all-null input,
+    * otherwise TRUE or FALSE (plus NULL on nullable input).
+    */
+  private final class UndecidedPred(x: Value) extends Pred {
+    def eval(i: Int): Int = { x.eval(i); if (x.allNull) N else withNull(TF, x.mayBeNull) }
+  }
+
+  private final class IsNullPred(x: Value, negated: Boolean) extends Pred {
+    def eval(i: Int): Int = {
+      x.eval(i)
+      val o = if (x.allNull) T else if (!x.mayBeNull) F else TF
+      if (negated) not(o) else o
+    }
+  }
+
+  /** Boolean-valued conditional: evaluate as a value, map back. */
+  private final class ValuePred(v: Value) extends Pred {
+    def eval(i: Int): Int = {
+      v.eval(i)
+      if (v.allNull) N
+      else if (v.known && v.lo.fam == FB && v.hi.fam == FB)
+        withNull((if (v.hi.l != 0L) T else 0) | (if (v.lo.l == 0L) F else 0), v.mayBeNull)
+      else withNull(TF, v.mayBeNull)
+    }
+  }
+
+  private def bindPred(e: PExpr, stats: TableStats): Pred = e match {
+    case LitBool(b) => new ConstPred(if (b) T else F)
+    case And(l, r)  => new AndPred(bindPred(l, stats), bindPred(r, stats))
+    case Or(l, r)   => new OrPred(bindPred(l, stats), bindPred(r, stats))
+    case Not(x)       => new NotPred(bindPred(x, stats))
+    case IsNotTrue(x) => new IsNotTruePred(bindPred(x, stats))
+    case Cmp(op, l, r) => new CmpPred(op, bindValue(l, stats), bindValue(r, stats))
+    case In(_, vs) if vs.isEmpty => new ConstPred(F)
+    case In(x, vs) => new InPred(bindValue(x, stats), vs)
+    case Like(x, pattern) =>
+      Rewrites.widenLike(x, pattern) match {
+        case Rewrites.ExactExpr(p) => bindPred(p, stats)
+        case Rewrites.WidenedTo(p) => new WidenedPred(bindPred(p, stats))
+        case Rewrites.NotWidenable => new UndecidedPred(bindValue(x, stats))
+      }
+    case StartsWith(x, prefix) => new StartsWithPred(bindValue(x, stats), prefix)
+    case EndsWith(x, _) => new UndecidedPred(bindValue(x, stats))
+    case Contains(x, _) => new UndecidedPred(bindValue(x, stats))
+    case IsNull(x)    => new IsNullPred(bindValue(x, stats), negated = false)
+    case IsNotNull(x) => new IsNullPred(bindValue(x, stats), negated = true)
+    case If(_, _, _) | CaseWhen(_, _) => new ValuePred(bindValue(e, stats))
+    case Col(_) => bindPred(Cmp(CmpOp.Eq, e, Lit(Scalar.BoolV(true))), stats)
+    case _ => new ConstPred(TFN) // Opaque, or a value in predicate position
+  }
 }

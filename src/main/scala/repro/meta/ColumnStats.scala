@@ -8,15 +8,9 @@ package repro.meta
   * for declaring a comparison predicate *all-true* on a partition (§4.2):
   * a partition with nulls can never be fully-matching for `x > 5`.
   */
-final case class ColumnStats(min: Option[Scalar], max: Option[Scalar], nullCount: Long) {
-  def range: Option[ValueRange] = for { lo <- min; hi <- max } yield ValueRange(lo, hi)
-  def hasNulls: Boolean = nullCount > 0
-  def allNull(rowCount: Long): Boolean = nullCount == rowCount
-}
+final case class ColumnStats(min: Option[Scalar], max: Option[Scalar], nullCount: Long)
 
 object ColumnStats {
-  val allNulls: ColumnStats = ColumnStats(None, None, 0L)
-
   /** Fold a stream of raw values into stats. Values must share a type family. */
   def ofValues(values: Iterable[Any]): ColumnStats = {
     var nulls = 0L
@@ -39,4 +33,138 @@ object ColumnStats {
   */
 final case class PartitionMeta(id: Int, rowCount: Long, cols: Map[String, ColumnStats]) {
   def col(name: String): Option[ColumnStats] = cols.get(name)
+}
+
+/** One column's zone maps over every partition of a table, as arrays indexed
+  * by partition position. `state(i)` says whether partition `i` lacks the
+  * column ([[ColumnArrays.Absent]]), has it without min/max — all null or
+  * empty ([[ColumnArrays.NoRange]]) — or has a min/max range
+  * ([[ColumnArrays.Ranged]]); `min`/`max` are meaningful only for the last.
+  * The subclass is the type family of every range in the column; a column
+  * whose ranges mix families keeps boxed [[Scalar]]s.
+  */
+sealed abstract class ColumnArrays(val state: Array[Byte], val nullCount: Array[Long]) {
+  /** Store partition `i`'s range; false if it is not of this column's family. */
+  private[meta] def put(i: Int, lo: Scalar, hi: Scalar): Boolean
+}
+
+object ColumnArrays {
+  final val Absent: Byte  = 0
+  final val NoRange: Byte = 1
+  final val Ranged: Byte  = 2
+
+  import Scalar._
+
+  /** Long values, or date days when `dates`. */
+  final class Longs(state: Array[Byte], nullCount: Array[Long], val dates: Boolean,
+                    val min: Array[Long], val max: Array[Long]) extends ColumnArrays(state, nullCount) {
+    private[meta] def put(i: Int, lo: Scalar, hi: Scalar): Boolean = (lo, hi) match {
+      case (LongV(a), LongV(b)) if !dates => min(i) = a; max(i) = b; true
+      case (DateV(a), DateV(b)) if dates  => min(i) = a.toLong; max(i) = b.toLong; true
+      case _ => false
+    }
+  }
+  final class Doubles(state: Array[Byte], nullCount: Array[Long],
+                      val min: Array[Double], val max: Array[Double]) extends ColumnArrays(state, nullCount) {
+    private[meta] def put(i: Int, lo: Scalar, hi: Scalar): Boolean = (lo, hi) match {
+      case (DoubleV(a), DoubleV(b)) => min(i) = a; max(i) = b; true
+      case _ => false
+    }
+  }
+  final class Strings(state: Array[Byte], nullCount: Array[Long],
+                      val min: Array[String], val max: Array[String]) extends ColumnArrays(state, nullCount) {
+    private[meta] def put(i: Int, lo: Scalar, hi: Scalar): Boolean = (lo, hi) match {
+      case (StringV(a), StringV(b)) => min(i) = a; max(i) = b; true
+      case _ => false
+    }
+  }
+  final class Bools(state: Array[Byte], nullCount: Array[Long],
+                    val min: Array[Boolean], val max: Array[Boolean]) extends ColumnArrays(state, nullCount) {
+    private[meta] def put(i: Int, lo: Scalar, hi: Scalar): Boolean = (lo, hi) match {
+      case (BoolV(a), BoolV(b)) => min(i) = a; max(i) = b; true
+      case _ => false
+    }
+  }
+  final class Scalars(state: Array[Byte], nullCount: Array[Long],
+                      val min: Array[Scalar], val max: Array[Scalar]) extends ColumnArrays(state, nullCount) {
+    private[meta] def put(i: Int, lo: Scalar, hi: Scalar): Boolean = { min(i) = lo; max(i) = hi; true }
+  }
+
+  /** Transpose column `name` of the given partitions. */
+  def of(metas: IndexedSeq[PartitionMeta], name: String): ColumnArrays = {
+    val b = new Builder(metas.size)
+    metas.foreach(m => b.add(m.cols.getOrElse(name, null)))
+    b.result
+  }
+
+  /** Collects one column partition by partition: the ranges boxed and, while
+    * they share the first range's family, also in that family's arrays.
+    * The per-partition step `add` runs inside the collection's `foreach`, so
+    * the JIT compiles both within the first tables; a loop written in `of`
+    * runs once per scan and would stay interpreted for many scans.
+    */
+  private final class Builder(n: Int) {
+    private val state = new Array[Byte](n)
+    private val nullCount = new Array[Long](n)
+    private val boxed = new Scalars(state, nullCount, new Array[Scalar](n), new Array[Scalar](n))
+    private var typed: ColumnArrays = null
+    private var mixed = false
+    private var i = 0
+
+    /** The next partition's stats, or null if it lacks the column. */
+    def add(cs: ColumnStats): Unit = if (cs == null) i += 1 else {
+      nullCount(i) = cs.nullCount
+      if (cs.min.isEmpty || cs.max.isEmpty) state(i) = NoRange
+      else {
+        state(i) = Ranged
+        val (lo, hi) = (cs.min.get, cs.max.get)
+        boxed.put(i, lo, hi)
+        if (typed == null) typed = lo match {
+          case _: LongV   => new Longs(state, nullCount, dates = false, new Array[Long](n), new Array[Long](n))
+          case _: DateV   => new Longs(state, nullCount, dates = true, new Array[Long](n), new Array[Long](n))
+          case _: DoubleV => new Doubles(state, nullCount, new Array[Double](n), new Array[Double](n))
+          case _: StringV => new Strings(state, nullCount, new Array[String](n), new Array[String](n))
+          case _: BoolV   => new Bools(state, nullCount, new Array[Boolean](n), new Array[Boolean](n))
+        }
+        if (!mixed && !typed.put(i, lo, hi)) mixed = true
+      }
+      i += 1
+    }
+
+    def result: ColumnArrays = if (typed == null || mixed) boxed else typed
+  }
+}
+
+/** A table's zone maps in struct-of-arrays form: the partition records plus
+  * their row counts and, per column, [[ColumnArrays]] transposed on first
+  * use. Built once per table (a `MemTable`, an mpt manifest) so that
+  * pruning can bind a predicate to the arrays once and then evaluate every
+  * partition by index; only the columns some bound predicate references are
+  * ever transposed.
+  */
+final class TableStats private (val metas: IndexedSeq[PartitionMeta], val rowCount: Array[Long]) {
+  private val columns = new java.util.concurrent.ConcurrentHashMap[String, ColumnArrays]()
+  /** Column `name` over every partition; absent everywhere if no partition has it. */
+  def column(name: String): ColumnArrays = columns.computeIfAbsent(name, ColumnArrays.of(metas, _))
+}
+
+object TableStats {
+  def of(metas: IndexedSeq[PartitionMeta]): TableStats = {
+    val rowCount = new Array[Long](metas.size)
+    var i = 0
+    while (i < rowCount.length) { rowCount(i) = metas(i).rowCount; i += 1 }
+    new TableStats(metas, rowCount)
+  }
+
+  @volatile private var last: TableStats = _
+
+  /** The stats of `parts`, reusing those of the previous call when `parts`
+    * is the same indexed sequence — as when a run of predicates prunes one
+    * table's partitions — so that its columns are transposed once.
+    */
+  def ofSeq(parts: Seq[PartitionMeta]): TableStats = {
+    val prev = last
+    if (prev != null && (prev.metas eq parts)) prev
+    else { val s = of(parts.toIndexedSeq); last = s; s }
+  }
 }

@@ -6,7 +6,7 @@ import java.nio.file.{Files, Paths}
 
 import org.apache.spark.sql.types.{StructField, StructType}
 
-import repro.meta.{ColumnStats, PartitionMeta}
+import repro.meta.{ColumnStats, PartitionMeta, TableStats}
 
 /** The mpt table manifest: schema + per-partition zone-map metadata.
   *
@@ -23,6 +23,11 @@ import repro.meta.{ColumnStats, PartitionMeta}
   */
 final case class MptManifest(schema: StructType, partitions: Vector[MptPartitionEntry]) {
   def metas: Seq[PartitionMeta] = partitions.map(_.meta(schema))
+  /** The partitions' zone maps for pruning, built on first use; its
+    * `metas(i)` is partition `i`'s record, and columns are transposed to
+    * arrays as predicates bind to them.
+    */
+  lazy val stats: TableStats = TableStats.of(metas.toIndexedSeq)
   def entry(id: Int): MptPartitionEntry = partitions(id)
 }
 

@@ -77,7 +77,7 @@ final class MptScanBuilder(dir: String, manifest: MptManifest)
     with SupportsPushDownTopN {
 
   private val metaById: Map[Int, PartitionMeta] =
-    manifest.metas.map(m => m.id -> m).toMap
+    manifest.stats.metas.map(m => m.id -> m).toMap
 
   // Scan-set state, refined by each pushdown in Catalyst's order:
   // filters → limit / topN → column pruning.
@@ -98,15 +98,16 @@ final class MptScanBuilder(dir: String, manifest: MptManifest)
     val pexprs = ok.toSeq.flatMap(FilterTranslator.translate)
     rowFilter = if (pexprs.nonEmpty) Some(PExpr.and(pexprs)) else None
     rowFilter.foreach { pred =>
-      // Pass 1 runs through the adaptive pruning tree (§3.2): filter leaves
-      // are reordered by measured pruning ratio / cost as the manifest is
+      // The pruners run over the manifest's stats, skipping empty partitions;
+      // filters are pushed before limit and top-N, so that is the scan set.
+      // The adaptive pruning tree (§3.2) prunes first: filter leaves are
+      // reordered by measured pruning ratio / cost as the manifest is
       // streamed, and leaves below an AND that stop paying for themselves
       // are cut off. Cutoff only ever weakens pruning (conservative).
-      val pruner = new AdaptivePruner(PruningTree.fromPExpr(pred))
-      val kept = pruner.run(scanEntries.map(e => metaById(e.id))).map(_.id).toSet
-      // Pass 2 (§4.2): inverted predicate over the survivors.
-      val classified = FilterPruner.classify(
-        scanEntries.filter(e => kept.contains(e.id)).map(e => metaById(e.id)), pred)
+      val kept = new AdaptivePruner(PruningTree.fromPExpr(pred)).keptIndices(manifest.stats)
+      // The survivors are classified in one pass, which also certifies the
+      // fully-matching ones (§4.2).
+      val classified = FilterPruner.classifyAt(manifest.stats, pred, kept)
       val keep = classified.scanSet.map(_.id).toSet
       scanEntries = scanEntries.filter(e => keep.contains(e.id))
       // Residual filters Spark re-applies could reject rows of a partition we

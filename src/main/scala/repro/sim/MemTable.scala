@@ -48,7 +48,15 @@ final class MemPartition(val id: Int, val schema: IndexedSeq[String],
 /** An in-memory micro-partitioned table. */
 final class MemTable(val name: String, val schema: IndexedSeq[String],
                      val partitions: Vector[MemPartition]) {
-  def metas: Seq[PartitionMeta] = partitions.map(_.meta)
+  /** Zone maps of every partition, as records and as column arrays. Folded
+    * and transposed once, on first use of either.
+    */
+  lazy val stats: TableStats = {
+    val s = TableStats.of(partitions.map(_.meta))
+    schema.foreach(s.column)
+    s
+  }
+  def metas: IndexedSeq[PartitionMeta] = stats.metas
   def partition(id: Int): MemPartition = partitions(id)
   def numPartitions: Int = partitions.size
   def totalRows: Long = partitions.map(_.rowCount.toLong).sum

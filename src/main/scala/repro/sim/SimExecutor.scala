@@ -62,7 +62,7 @@ object SimExecutor {
     val probe = catalog(q.table)
 
     // ---- 1. filter pruning (compile time) on the main scan ---------------
-    val filtered = FilterPruner.classifyOpt(probe.metas, q.pred)
+    val filtered = FilterPruner.classifyOpt(probe.stats, q.pred)
     val filterStat = q.pred.map(_ => Ratio(probe.numPartitions, filtered.scanSet.size))
 
     // ---- 2. build side + join pruning ------------------------------------
@@ -78,7 +78,7 @@ object SimExecutor {
       case Some(j) =>
         val build = catalog(j.buildTable)
         buildEligible = build.numPartitions
-        val buildFiltered = FilterPruner.classifyOpt(build.metas, j.buildPred)
+        val buildFiltered = FilterPruner.classifyOpt(build.stats, j.buildPred)
         buildFilterStat = j.buildPred.map(_ => Ratio(build.numPartitions, buildFiltered.scanSet.size))
         val keys = mutable.HashSet.empty[Scalar]
         buildFiltered.scanSet.foreach { m =>

@@ -146,4 +146,91 @@ class PruningSoundnessSpec extends AnyFunSuite {
       }
     }
   }
+
+  // ---- table-bound evaluation equals per-partition evaluation -------------
+  //
+  // Stats here are adversarial: long extremes, ±0.0, NaN and infinities, a
+  // column mixing LongV and DoubleV, all-null and empty partitions, and
+  // columns missing from some partitions.
+
+  private val edgeLongs: Gen[Long] = Gen.oneOf(
+    Gen.chooseNum(-20L, 20L),
+    Gen.oneOf(Long.MinValue, Long.MinValue + 1, -(1L << 53), 0L, 1L << 53, (1L << 53) + 1,
+              Long.MaxValue - 1, Long.MaxValue))
+  private val edgeDoubles: Gen[Double] = Gen.oneOf(
+    Gen.chooseNum(-20, 20).map(_ / 2.0),
+    Gen.oneOf(0.0, -0.0, Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, 9.007199254740992e15))
+  private val edgeScalars: Gen[Scalar] = Gen.oneOf(
+    edgeLongs.map(LongV(_)), edgeDoubles.map(DoubleV(_)), Gen.oneOf(vocab).map(StringV(_)),
+    Gen.chooseNum(-3, 3).map(DateV(_)))
+  private val edgeColumns: Map[String, Gen[Any]] = Map(
+    "x" -> edgeLongs,
+    "m" -> Gen.oneOf(edgeLongs, edgeDoubles),
+    "d" -> edgeDoubles,
+    "s" -> Gen.oneOf(vocab),
+    "t" -> Gen.chooseNum(-3, 3).map(d => java.time.LocalDate.ofEpochDay(d.toLong)))
+
+  private def genEdgeMeta(id: Int): Gen[PartitionMeta] = for {
+    rows <- Gen.frequency(1 -> Gen.const(0), 5 -> Gen.chooseNum(1, 5))
+    present <- Gen.someOf(edgeColumns.keys.toSeq)
+    allNull <- Gen.prob(0.2)
+    stats <- Gen.sequence[List[(String, ColumnStats)], (String, ColumnStats)](present.map { c =>
+      val value = if (allNull) Gen.const(null) else Gen.frequency(1 -> Gen.const(null), 4 -> edgeColumns(c))
+      Gen.listOfN(rows, value).map(vs => c -> ColumnStats.ofValues(vs))
+    })
+  } yield PartitionMeta(id, rows.toLong, stats.toMap)
+
+  private def genEdgeValue(depth: Int): Gen[PExpr] = {
+    val leaf = Gen.frequency(
+      3 -> Gen.oneOf("x", "m", "d", "s", "t").map(Col(_): PExpr),
+      2 -> edgeScalars.map(Lit(_): PExpr))
+    if (depth <= 0) leaf
+    else Gen.frequency(
+      4 -> leaf,
+      1 -> Gen.lzy(for {
+        op <- Gen.oneOf(ArithOp.Add, ArithOp.Sub, ArithOp.Mul, ArithOp.Div)
+        a <- genEdgeValue(depth - 1); b <- genEdgeValue(depth - 1)
+      } yield Arith(op, a, b)),
+      1 -> Gen.lzy(genEdgeValue(depth - 1).map(Neg(_))),
+      1 -> Gen.lzy(for {
+        c <- genEdgePred(depth - 1); a <- genEdgeValue(depth - 1); b <- genEdgeValue(depth - 1)
+      } yield If(c, a, b)))
+  }
+
+  private def genEdgePred(depth: Int): Gen[PExpr] = {
+    val leaf = Gen.frequency(
+      5 -> (for {
+        op <- Gen.oneOf(CmpOp.Lt, CmpOp.Lte, CmpOp.Gt, CmpOp.Gte, CmpOp.Eq, CmpOp.Neq)
+        a <- genEdgeValue(depth); b <- genEdgeValue(depth)
+      } yield Cmp(op, a, b)),
+      2 -> (for { a <- genEdgeValue(depth); vs <- Gen.listOf(edgeScalars).map(_.take(5)) } yield In(a, vs)),
+      1 -> Gen.oneOf(vocab).map(v => Like(Col("s"), v.take(2) + "%" + v.takeRight(1))),
+      1 -> genEdgeValue(depth).map(IsNull(_)),
+      1 -> genEdgeValue(depth).map(IsNotNull(_)))
+    if (depth <= 0) leaf
+    else Gen.frequency(
+      3 -> leaf,
+      2 -> Gen.lzy(for { a <- genEdgePred(depth - 1); b <- genEdgePred(depth - 1) } yield And(a, b)),
+      2 -> Gen.lzy(for { a <- genEdgePred(depth - 1); b <- genEdgePred(depth - 1) } yield Or(a, b)),
+      1 -> Gen.lzy(genEdgePred(depth - 1).map(Not(_))),
+      1 -> Gen.lzy(genEdgePred(depth - 1).map(IsNotTrue(_))))
+  }
+
+  test("property: a table-bound predicate at index i equals it bound over partition i alone") {
+    val genTable = for {
+      metas <- Gen.sequence[Vector[PartitionMeta], PartitionMeta]((0 until 6).map(genEdgeMeta))
+      pred <- genEdgePred(2)
+    } yield (metas, pred)
+    forAllSeeded(genTable, n = 1000) { case (metas, pred) =>
+      val table = TableStats.of(metas)
+      val bound = RangeEval.bind(pred, table)
+      val classified = FilterPruner.classify(table, pred).partitions
+      metas.indices.foreach { i =>
+        val alone = TableStats.of(Vector(metas(i)))
+        assert(bound.outcomes(i) == RangeEval.bind(pred, alone).outcomes(0),
+          s"pred=$pred partition=${metas(i)}")
+        assert(classified(i) == FilterPruner.classify(alone, pred).partitions.head)
+      }
+    }
+  }
 }

@@ -1,6 +1,9 @@
 package repro.core
 
+import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
+
+import repro.PropHelper.forAllSeeded
 
 import repro.meta._
 import PExpr._
@@ -174,5 +177,44 @@ class RangeEvalSpec extends AnyFunSuite {
     val m = meta(10, "x" -> stats(LongV(10), LongV(20)), "y" -> stats(LongV(-1), LongV(1)))
     val div = Arith(ArithOp.Div, Col("x"), Col("y"))
     assert(RangeEval.evalPred(Cmp(CmpOp.Gt, div, lit(1000L)), m) == Tri.Unknown)
+  }
+
+  test("long arithmetic stays exact beyond 2^53; overflow is an unknown range") {
+    val p53 = 1L << 53
+    val m = meta(1, "a" -> stats(LongV(p53), LongV(p53)))
+    val plusOne = Arith(ArithOp.Add, Col("a"), lit(1L))
+    assert(RangeEval.mayMatch(Cmp(CmpOp.Gt, plusOne, lit(p53)), m))
+    assert(RangeEval.evalPred(Cmp(CmpOp.Eq, plusOne, lit(p53 + 1)), m) == Tri.True)
+    assert(FilterPruner.classify(Seq(m), Cmp(CmpOp.Gt, plusOne, lit(p53))).scanSet.size == 1)
+    val big = meta(1, "a" -> stats(LongV(Long.MaxValue), LongV(Long.MaxValue)))
+    assert(RangeEval.evalValue(plusOne, big).range.isEmpty)
+    assert(RangeEval.evalPred(Cmp(CmpOp.Lt, plusOne, lit(0L)), big) == Tri.Unknown)
+  }
+
+  test("property: comparisons and double arithmetic agree with ValueRange's Scalar algebra") {
+    val genEnd = Gen.oneOf(Gen.chooseNum(-6L, 6L).map(LongV(_): Scalar),
+                           Gen.chooseNum(-12, 12).map(v => DoubleV(v / 2.0): Scalar))
+    val genRange = for { a <- genEnd; b <- genEnd } yield
+      if (Scalar.lte(a, b).contains(true)) ValueRange(a, b) else ValueRange(b, a)
+    forAllSeeded(for { a <- genRange; b <- genRange } yield (a, b), n = 500) { case (ra, rb) =>
+      val m = meta(10, "a" -> ColumnStats(Some(ra.min), Some(ra.max), 0),
+                       "b" -> ColumnStats(Some(rb.min), Some(rb.max), 0))
+      def cmp(op: CmpOp) = RangeEval.evalPred(Cmp(op, Col("a"), Col("b")), m)
+      assert(cmp(CmpOp.Lt) == ValueRange.ltTri(ra, rb))
+      assert(cmp(CmpOp.Lte) == ValueRange.lteTri(ra, rb))
+      assert(cmp(CmpOp.Gt) == ValueRange.gtTri(ra, rb))
+      assert(cmp(CmpOp.Gte) == ValueRange.gteTri(ra, rb))
+      assert(cmp(CmpOp.Eq) == ValueRange.eqTri(ra, rb))
+      assert(cmp(CmpOp.Neq) == ValueRange.eqTri(ra, rb).not)
+      // Long-only operands stay exact; with a double operand both widen alike.
+      val widened = Seq(ra.min, ra.max, rb.min, rb.max).exists(_.isInstanceOf[DoubleV])
+      if (widened) {
+        def arith(op: ArithOp) = RangeEval.evalValue(Arith(op, Col("a"), Col("b")), m).range
+        assert(arith(ArithOp.Add) == ValueRange.add(ra, rb))
+        assert(arith(ArithOp.Sub) == ValueRange.subtract(ra, rb))
+        assert(arith(ArithOp.Mul) == ValueRange.multiply(ra, rb))
+        assert(arith(ArithOp.Div) == ValueRange.divide(ra, rb))
+      }
+    }
   }
 }
