@@ -24,12 +24,15 @@ object Scalar {
   /** Normalize -0.0 to 0.0: `Double.compare` distinguishes them, SQL does not. */
   @inline private def nd(x: Double): Double = if (x == 0.0) 0.0 else x
 
+  /** The order of two doubles: `Double.compare` with -0.0 equal to 0.0. */
+  def compareDoubles(x: Double, y: Double): Int = java.lang.Double.compare(nd(x), nd(y))
+
   /** Three-valued comparison: Some(<0|0|>0) when comparable, None otherwise. */
   def compare(a: Scalar, b: Scalar): Option[Int] = (a, b) match {
     case (LongV(x), LongV(y))     => Some(java.lang.Long.compare(x, y))
     case (LongV(x), DoubleV(y))   => Some(java.lang.Double.compare(x.toDouble, nd(y)))
     case (DoubleV(x), LongV(y))   => Some(java.lang.Double.compare(nd(x), y.toDouble))
-    case (DoubleV(x), DoubleV(y)) => Some(java.lang.Double.compare(nd(x), nd(y)))
+    case (DoubleV(x), DoubleV(y)) => Some(compareDoubles(x, y))
     case (StringV(x), StringV(y)) => Some(x.compareTo(y))
     case (DateV(x), DateV(y))     => Some(Integer.compare(x, y))
     case (BoolV(x), BoolV(y))     => Some(java.lang.Boolean.compare(x, y))

@@ -1,8 +1,7 @@
 package repro.mpt
 
-import java.io.File
 import java.nio.charset.StandardCharsets
-import java.nio.file.{Files, Paths}
+import java.nio.file.{Files, Paths, StandardCopyOption}
 
 import org.apache.spark.sql.types.{StructField, StructType}
 
@@ -12,14 +11,17 @@ import repro.meta.{ColumnStats, PartitionMeta, TableStats}
   *
   * This is the moral equivalent of Snowflake's metadata service / an Iceberg
   * manifest file: it lets the planner prune micro-partitions without opening
-  * any data file. Stored as `_manifest.mpt` next to the partition files.
+  * any data file. Stored as `_manifest.mpt` next to the partition files
+  * ([[MptDataFile]]) and replaced atomically on every write.
   *
-  * Format (TSV lines):
+  * Format (TSV lines; names and values in [[MptSchema]]'s field codec):
   * {{{
-  * mpt-v1
+  * mpt-v2
   * col <TAB> name <TAB> type                        (one per column)
   * part <TAB> id <TAB> file <TAB> rowCount <TAB> (min max nullCount)*
   * }}}
+  * `mpt-v1` tables, whose partitions were TSV files, are not readable and
+  * must be rewritten.
   */
 final case class MptManifest(schema: StructType, partitions: Vector[MptPartitionEntry]) {
   def metas: Seq[PartitionMeta] = partitions.map(_.meta(schema))
@@ -28,7 +30,6 @@ final case class MptManifest(schema: StructType, partitions: Vector[MptPartition
     * arrays as predicates bind to them.
     */
   lazy val stats: TableStats = TableStats.of(metas.toIndexedSeq)
-  def entry(id: Int): MptPartitionEntry = partitions(id)
 }
 
 /** One micro-partition: data file name + row count + per-column stats
@@ -42,10 +43,15 @@ final case class MptPartitionEntry(id: Int, file: String, rowCount: Long,
 
 object MptManifest {
   val FileName = "_manifest.mpt"
+  val Version = "mpt-v2"
 
+  /** Write the manifest to a temporary file in `dir`, then move it over
+    * `_manifest.mpt` in one atomic step, so a reader sees the old manifest
+    * or the new one, never a partial one.
+    */
   def write(dir: String, manifest: MptManifest): Unit = {
     val sb = new StringBuilder
-    sb.append("mpt-v1\n")
+    sb.append(Version).append('\n')
     manifest.schema.fields.foreach { f =>
       sb.append(s"col\t${MptSchema.escape(f.name)}\t${MptSchema.typeName(f.dataType)}\n")
     }
@@ -59,14 +65,22 @@ object MptManifest {
       sb.append('\n')
     }
     Files.createDirectories(Paths.get(dir))
-    Files.write(Paths.get(dir, FileName), sb.toString.getBytes(StandardCharsets.UTF_8))
+    val tmp = Paths.get(dir, s"$FileName.${java.util.UUID.randomUUID()}.tmp")
+    try {
+      Files.write(tmp, sb.toString.getBytes(StandardCharsets.UTF_8))
+      Files.move(tmp, Paths.get(dir, FileName),
+                 StandardCopyOption.ATOMIC_MOVE, StandardCopyOption.REPLACE_EXISTING)
+    } finally Files.deleteIfExists(tmp)
   }
 
   def read(dir: String): MptManifest = {
     val path = Paths.get(dir, FileName)
     require(Files.exists(path), s"not an mpt table (no $FileName): $dir")
     val lines = Files.readAllLines(path, StandardCharsets.UTF_8)
-    require(!lines.isEmpty && lines.get(0) == "mpt-v1", s"bad manifest header in $dir")
+    val header = if (lines.isEmpty) "" else lines.get(0)
+    require(header == Version,
+      s"mpt table $dir has manifest version '$header', but only '$Version' (binary column-chunk " +
+      "partitions) can be read: rewrite the table with MptWriter")
 
     val cols = Vector.newBuilder[StructField]
     val parts = Vector.newBuilder[MptPartitionEntry]
@@ -97,6 +111,4 @@ object MptManifest {
     if (schema == null) schema = StructType(cols.result())
     MptManifest(schema, parts.result())
   }
-
-  def dataFile(dir: String, entry: MptPartitionEntry): File = new File(dir, entry.file)
 }

@@ -4,11 +4,11 @@ import org.apache.spark.sql.types._
 import repro.meta.Scalar
 
 /** Supported column types of the mpt (micro-partitioned table) format and
-  * the TSV field codec used by partition files and the manifest.
+  * the text field codec of its manifest.
   *
-  * One micro-partition = one TSV file; fields are tab-separated with
-  * C-style escapes for tab/newline/backslash and `\N` for SQL NULL
-  * (the classic Hive/MySQL text convention).
+  * Partition data is binary ([[MptDataFile]]). The manifest is text: its
+  * fields are tab-separated with C-style escapes for tab/newline/backslash
+  * and `\N` for SQL NULL (the classic Hive/MySQL text convention).
   */
 object MptSchema {
 
@@ -74,7 +74,7 @@ object MptSchema {
     sb.toString
   }
 
-  /** Encode a [[Scalar]] (or null) as one TSV field. */
+  /** Encode a [[Scalar]] (or null) as one manifest field. */
   def encodeField(v: Scalar): String = v match {
     case null              => NullField
     case Scalar.LongV(x)   => x.toString
@@ -84,7 +84,7 @@ object MptSchema {
     case Scalar.BoolV(x)   => x.toString
   }
 
-  /** Decode one TSV field into a [[Scalar]] (null for SQL NULL). */
+  /** Decode one manifest field into a [[Scalar]] (null for SQL NULL). */
   def decodeField(s: String, dt: DataType): Scalar =
     if (s == NullField) null
     else dt match {
@@ -95,37 +95,4 @@ object MptSchema {
       case BooleanType            => Scalar.BoolV(s.toBoolean)
       case other                  => throw new IllegalArgumentException(s"unsupported: $other")
     }
-
-  /** Convert a value from a Spark external Row into a [[Scalar]]. */
-  def scalarFromRowValue(v: Any, dt: DataType): Scalar =
-    if (v == null) null
-    else dt match {
-      case LongType    => Scalar.LongV(v.asInstanceOf[Long])
-      case IntegerType => Scalar.LongV(v.asInstanceOf[Int].toLong)
-      case DoubleType  => Scalar.DoubleV(v.asInstanceOf[Double])
-      case StringType  => Scalar.StringV(v.asInstanceOf[String])
-      case DateType    => v match {
-        case d: java.sql.Date       => Scalar.DateV(d.toLocalDate.toEpochDay.toInt)
-        case d: java.time.LocalDate => Scalar.DateV(d.toEpochDay.toInt)
-        case other => throw new IllegalArgumentException(s"bad date value: $other")
-      }
-      case BooleanType => Scalar.BoolV(v.asInstanceOf[Boolean])
-      case other       => throw new IllegalArgumentException(s"unsupported: $other")
-    }
-
-  /** Convert a [[Scalar]] to the Catalyst-internal representation that
-    * `InternalRow` expects (UTF8String for strings, epoch days for dates).
-    * Integer-typed columns are narrowed back from the LongV carrier.
-    */
-  def toInternal(v: Scalar, dt: DataType): Any = v match {
-    case null => null
-    case Scalar.LongV(x) => dt match {
-      case IntegerType => x.toInt
-      case _           => x
-    }
-    case Scalar.DoubleV(x) => x
-    case Scalar.StringV(x) => org.apache.spark.unsafe.types.UTF8String.fromString(x)
-    case Scalar.DateV(x)   => x
-    case Scalar.BoolV(x)   => x
-  }
 }

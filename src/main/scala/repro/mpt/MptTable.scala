@@ -6,13 +6,13 @@ import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
 import org.apache.spark.sql.connector.expressions.{NamedReference, NullOrdering, SortDirection, SortOrder, Transform}
 import org.apache.spark.sql.connector.read._
 import org.apache.spark.sql.sources.Filter
-import org.apache.spark.sql.types.StructType
+import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
+import org.apache.spark.sql.vectorized.{ColumnVector, ColumnarBatch}
 
 import repro.core._
 import repro.meta.{PartitionMeta, Scalar}
@@ -179,15 +179,13 @@ final class MptScanBuilder(dir: String, manifest: MptManifest)
     stats.fullyMatching = fullyIds.size
     stats.limitOutcome = limitOutcomeStr
 
-    def bestOf(e: MptPartitionEntry, plan: TopKPlan): Option[Scalar] = {
-      val i = manifest.schema.fieldNames.indexOf(plan.orderCol)
-      if (plan.desc) e.stats(i).max else e.stats(i).min
-    }
-
     val (entries, scanIdOpt) = topK match {
       case None => (scanEntries, None)
       case Some(plan) =>
         stats.topKPushed = true
+        val orderIdx = manifest.schema.fieldIndex(plan.orderCol)
+        def bestOf(e: MptPartitionEntry): Option[Scalar] =
+          if (plan.desc) e.stats(orderIdx).max else e.stats(orderIdx).min
         val q = TopKPruner.TopKQuery(plan.orderCol, plan.k, plan.desc)
         val init = TopKPruner.upfrontBoundary(fullyIds.toSeq.map(metaById), q)
         val strictlyBetter = (a: Scalar, b: Scalar) =>
@@ -195,11 +193,11 @@ final class MptScanBuilder(dir: String, manifest: MptManifest)
         // §5.4 static pruning: below the upfront boundary nothing can qualify.
         val statically = init match {
           case None    => scanEntries
-          case Some(b) => scanEntries.filter(e => !bestOf(e, plan).forall(v => strictlyBetter(b, v)))
+          case Some(b) => scanEntries.filter(e => !bestOf(e).forall(v => strictlyBetter(b, v)))
         }
         // §5.3 processing order: best boundary potential first; all-null last.
         val ordered = statically.sortWith { (x, y) =>
-          (bestOf(x, plan), bestOf(y, plan)) match {
+          (bestOf(x), bestOf(y)) match {
             case (Some(a), Some(b)) => strictlyBetter(a, b)
             case (Some(_), None)    => true
             case _                  => false
@@ -245,11 +243,41 @@ final class MptScan(dir: String, fullSchema: StructType, required: StructType,
     new MptReaderFactory(fullSchema, required, rowFilter, topK)
 }
 
+/** Reads each micro-partition as one [[ColumnarBatch]] of on-heap vectors.
+  * A reader decodes only the columns it needs: the row filter's and the
+  * top-k order column's first, to select the rows that pass the filter and
+  * may still reach the top-k; then the `required` columns, for those rows.
+  * `createReader` is a row view over the same batches.
+  */
 final class MptReaderFactory(fullSchema: StructType, required: StructType,
                              rowFilter: Option[PExpr], topK: Option[TopKPlan])
   extends PartitionReaderFactory {
 
+  private val filterCols: Set[String] =
+    rowFilter.map(PExpr.columns).getOrElse(Set.empty[String]).filter(fullSchema.fieldNames.contains)
+
+  override def supportColumnarReads(partition: InputPartition): Boolean = true
+
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] = {
+    val batches = createColumnarReader(partition)
+    new PartitionReader[InternalRow] {
+      private var rows: java.util.Iterator[InternalRow] = java.util.Collections.emptyIterator()
+      private var current: InternalRow = _
+
+      override def next(): Boolean = {
+        while (!rows.hasNext) {
+          if (!batches.next()) return false
+          rows = batches.get().rowIterator()
+        }
+        current = rows.next()
+        true
+      }
+      override def get(): InternalRow = current
+      override def close(): Unit = batches.close()
+    }
+  }
+
+  override def createColumnarReader(partition: InputPartition): PartitionReader[ColumnarBatch] = {
     val p = partition.asInstanceOf[MptInputPartition]
     val stats = ScanMetrics.forScan(p.scanId)
     val state = topK.flatMap(_ => BoundaryRegistry.get(p.scanId))
@@ -258,62 +286,99 @@ final class MptReaderFactory(fullSchema: StructType, required: StructType,
     // earlier tasks may have tightened it beyond the plan-time value.
     if (state.exists(_.shouldSkipPartition(p.orderBest))) {
       stats.foreach(_.runtimeSkipped.incrementAndGet())
-      return new PartitionReader[InternalRow] {
+      return new PartitionReader[ColumnarBatch] {
         override def next(): Boolean = false
-        override def get(): InternalRow = throw new IllegalStateException("empty")
+        override def get(): ColumnarBatch = throw new IllegalStateException("empty")
         override def close(): Unit = ()
       }
     }
 
     stats.foreach(_.filesOpened.incrementAndGet())
-    val file = new java.io.File(p.dir, p.file)
-    val reader = new java.io.BufferedReader(new java.io.FileReader(file), 1 << 20)
-    val nameIdx = fullSchema.fieldNames.zipWithIndex.toMap
-    val outIdx = required.fieldNames.map(nameIdx)
-    val orderIdx = topK.map(t => nameIdx(t.orderCol))
-
-    new PartitionReader[InternalRow] {
-      private var current: InternalRow = _
-      private val values = new Array[Scalar](fullSchema.length)
-      private val lookup: PExprEval.RowLookup = name => nameIdx.get(name).flatMap(i => Option(values(i)))
+    new PartitionReader[ColumnarBatch] {
+      private var read = false
+      private var batch: ColumnarBatch = _
+      private var owned: Seq[ColumnVector] = Nil
 
       override def next(): Boolean = {
-        var line = reader.readLine()
-        while (line != null) {
-          val fields = line.split("\t", -1) // -1: keep trailing empty strings
-          var i = 0
-          while (i < fullSchema.length) {
-            values(i) = MptSchema.decodeField(fields(i), fullSchema.fields(i).dataType)
-            i += 1
-          }
-          val passes = rowFilter.forall(PExprEval.passes(_, lookup))
-          if (passes) {
-            val emit = (state, orderIdx) match {
-              case (Some(st), Some(oi)) =>
-                val v = Option(values(oi))
-                v.foreach(st.observe) // tighten the boundary first …
-                !st.shouldSuppressRow(v) // … then drop rows provably out of top-k
-              case _ => true
-            }
-            if (emit) {
-              val row = new GenericInternalRow(outIdx.length)
-              var j = 0
-              while (j < outIdx.length) {
-                row.update(j, MptSchema.toInternal(values(outIdx(j)), required.fields(j).dataType))
-                j += 1
-              }
-              current = row
-              stats.foreach(_.rowsEmitted.incrementAndGet())
-              return true
-            }
-          }
-          line = reader.readLine()
+        if (read) return false
+        read = true
+        val chunks = MptDataFile.read(new java.io.File(p.dir, p.file))
+        def decode(name: String, sel: Array[Int]): ColumnVector = {
+          val i = fullSchema.fieldIndex(name)
+          chunks.decode(i, fullSchema.fields(i).dataType, sel)
         }
-        false
+        // The columns the filter and the top-k boundary read, whole.
+        val probeCols = filterCols ++ state.flatMap(_ => topK.map(_.orderCol))
+        val probes = probeCols.iterator.map(c => c -> decode(c, null)).toMap
+        owned = probes.values.toSeq
+        val sel = select(chunks.rowCount, probes, state)
+        val n = if (sel == null) chunks.rowCount else sel.length
+        if (n == 0) return false
+        // Every row selected: emit the decoded vectors as they are; else
+        // decode compacted copies of the selected rows.
+        val out = required.fieldNames.map { c =>
+          if (sel == null) probes.getOrElse(c, decode(c, null)) else decode(c, sel)
+        }
+        owned = (owned ++ out).distinct
+        batch = new ColumnarBatch(out, n)
+        stats.foreach(_.rowsEmitted.addAndGet(n))
+        true
       }
 
-      override def get(): InternalRow = current
-      override def close(): Unit = reader.close()
+      override def get(): ColumnarBatch = batch
+      override def close(): Unit = {
+        owned.foreach(_.close())
+        owned = Nil
+        batch = null
+      }
     }
+  }
+
+  /** The rows that pass the row filter and, under a top-k boundary, may
+    * still reach the top-k, in ascending order; null when that is every row.
+    * The filter is [[PExprEval]] over the decoded vectors, each column name
+    * bound to its vector once.
+    */
+  private def select(rows: Int, probes: Map[String, ColumnVector],
+                     state: Option[BoundaryRegistry.State]): Array[Int] = {
+    if (rowFilter.isEmpty && state.isEmpty) return null
+    val values = new java.util.HashMap[String, Int => Option[Scalar]]()
+    probes.foreach { case (c, v) => values.put(c, MptReaderFactory.scalars(v, fullSchema(c).dataType)) }
+    var row = 0
+    val lookup: PExprEval.RowLookup = name => {
+      val f = values.get(name)
+      if (f == null) None else f(row)
+    }
+    val filter = rowFilter.orNull
+    val boundary = state.orNull
+    val orderAt = if (boundary == null) null else values.get(topK.get.orderCol)
+    val sel = new Array[Int](rows)
+    var n = 0
+    while (row < rows) {
+      var keep = filter == null || PExprEval.passes(filter, lookup)
+      if (keep && boundary != null) {
+        val v = orderAt(row)
+        v.foreach(boundary.observe) // tighten the boundary first …
+        keep = !boundary.shouldSuppressRow(v) // … then drop rows provably out of top-k
+      }
+      if (keep) { sel(n) = row; n += 1 }
+      row += 1
+    }
+    if (n == rows) null else java.util.Arrays.copyOf(sel, n)
+  }
+}
+
+object MptReaderFactory {
+  /** A vector's row values as [[PExprEval]] sees them (None = NULL): int
+    * columns as [[Scalar.LongV]], dates as [[Scalar.DateV]].
+    */
+  private def scalars(v: ColumnVector, dt: DataType): Int => Option[Scalar] = dt match {
+    case LongType    => i => if (v.isNullAt(i)) None else Some(Scalar.LongV(v.getLong(i)))
+    case IntegerType => i => if (v.isNullAt(i)) None else Some(Scalar.LongV(v.getInt(i).toLong))
+    case DoubleType  => i => if (v.isNullAt(i)) None else Some(Scalar.DoubleV(v.getDouble(i)))
+    case StringType  => i => if (v.isNullAt(i)) None else Some(Scalar.StringV(v.getUTF8String(i).toString))
+    case DateType    => i => if (v.isNullAt(i)) None else Some(Scalar.DateV(v.getInt(i)))
+    case BooleanType => i => if (v.isNullAt(i)) None else Some(Scalar.BoolV(v.getBoolean(i)))
+    case other       => throw new IllegalArgumentException(s"unsupported: $other")
   }
 }

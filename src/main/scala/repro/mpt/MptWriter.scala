@@ -1,19 +1,24 @@
 package repro.mpt
 
-import java.io.{BufferedWriter, File, FileWriter}
+import java.io.File
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions.{col, rand}
+import org.apache.spark.sql.types.StructType
 
-import repro.meta.{ColumnStats, Scalar}
-
-/** Writes a DataFrame as an mpt table: one TSV file per micro-partition plus
-  * a manifest with per-partition zone maps.
+/** Writes a DataFrame as an mpt table: one binary file of column chunks per
+  * micro-partition ([[MptDataFile]]) plus a manifest with per-partition zone
+  * maps ([[MptManifest]]).
   *
   * The physical layout is the knob the paper keeps pointing at: sorted /
   * clustered layouts give pruning-friendly disjoint ranges, random layouts
   * are the worst case. Stats are computed in the writing task, exactly like
   * an engine computes SMAs while flushing a micro-partition.
+  *
+  * Rewriting a table is crash-safe: data files get names no earlier write
+  * used, the manifest is replaced atomically, and only then are the data
+  * files it does not reference deleted. Until the swap the old manifest and
+  * its files stay intact.
   */
 object MptWriter {
 
@@ -44,45 +49,29 @@ object MptWriter {
       case Layout.AsIs => df
     }
 
-    // mpt columns are always nullable on read (text format, \N marker).
-    val schema = org.apache.spark.sql.types.StructType(
-      df.schema.fields.map(_.copy(nullable = true)))
+    // mpt columns are always nullable on read.
+    val schema = StructType(df.schema.fields.map(_.copy(nullable = true)))
     new File(dir).mkdirs()
+    val writeId = java.util.UUID.randomUUID().toString.take(8)
     // Local mode: executor threads share the driver's filesystem, so tasks
-    // write their partition file directly and return only the stats line.
+    // write their partition file directly and return only the stats.
     val entries = arranged.rdd.mapPartitionsWithIndex { (idx, rows) =>
-      val file = f"part-$idx%05d.tsv"
-      val out = new BufferedWriter(new FileWriter(new File(dir, file)), 1 << 20)
-      val n = schema.fields.length
-      val mins = new Array[Scalar](n)
-      val maxs = new Array[Scalar](n)
-      val nulls = new Array[Long](n)
-      var rowCount = 0L
-      try {
-        rows.foreach { row =>
-          val fields = new Array[String](n)
-          var i = 0
-          while (i < n) {
-            val s = MptSchema.scalarFromRowValue(row.get(i), schema.fields(i).dataType)
-            if (s == null) nulls(i) += 1
-            else {
-              if (mins(i) == null || Scalar.lt(s, mins(i)).contains(true)) mins(i) = s
-              if (maxs(i) == null || Scalar.lt(maxs(i), s).contains(true)) maxs(i) = s
-            }
-            fields(i) = MptSchema.encodeField(s)
-            i += 1
-          }
-          out.write(fields.mkString("\t")); out.write('\n')
-          rowCount += 1
-        }
-      } finally out.close()
-      val stats = (0 until n).map(i => ColumnStats(Option(mins(i)), Option(maxs(i)), nulls(i))).toVector
-      Iterator.single(MptPartitionEntry(idx, file, rowCount, stats))
+      val file = f"part-$idx%05d-$writeId.${MptDataFile.Extension}"
+      val w = new MptDataFile.Writer(schema)
+      rows.foreach(w.add)
+      w.writeTo(new File(dir, file))
+      Iterator.single(MptPartitionEntry(idx, file, w.rowCount, w.stats))
     }.collect().sortBy(_.id).toVector
 
     // Re-number densely (some layouts may produce empty partitions).
     val manifest = MptManifest(schema, entries.zipWithIndex.map { case (e, i) => e.copy(id = i) })
     MptManifest.write(dir, manifest)
+    // The new manifest is live: drop data files it does not reference,
+    // including those of an earlier write or an older format.
+    val live = manifest.partitions.map(_.file).toSet
+    Option(new File(dir).listFiles()).toSeq.flatten
+      .filter(f => f.getName.startsWith("part-") && !live(f.getName))
+      .foreach(_.delete())
     manifest
   }
 }
