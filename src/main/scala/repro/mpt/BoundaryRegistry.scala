@@ -19,8 +19,14 @@ object BoundaryRegistry {
   private val ids = new AtomicLong(0L)
   private val states = new ConcurrentHashMap[Long, State]()
 
+  /** A fresh scan id. Every scan takes one, with or without top-k; its
+    * [[ScanMetrics]] and, under top-k, its boundary state share it.
+    */
+  def newScanId(): Long = ids.incrementAndGet()
+
+  /** A scan id with a fresh boundary state for a top-k of `k`. */
   def create(k: Int, desc: Boolean, initBoundary: Option[Scalar]): Long = {
-    val id = ids.incrementAndGet()
+    val id = newScanId()
     states.put(id, new State(k, desc, initBoundary.orNull))
     id
   }

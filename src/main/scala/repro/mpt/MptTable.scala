@@ -5,6 +5,7 @@ import java.util.{Map => JMap}
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
 import org.apache.spark.sql.connector.expressions.{NamedReference, NullOrdering, SortDirection, SortOrder, Transform}
@@ -34,7 +35,8 @@ import repro.meta.{PartitionMeta, Scalar}
   *  - `SupportsPushDownTopN` → top-k pruning (§5): partitions reordered by
   *    boundary potential (§5.3), statically pruned with the upfront
   *    boundary (§5.4), and skipped at *runtime* via the shared
-  *    [[BoundaryRegistry]] as scan tasks tighten the boundary (§5.2).
+  *    [[BoundaryRegistry]] as readers tighten the boundary (§5.2); a reader
+  *    checks it before each micro-partition of its task.
   *
   * Usage: `spark.read.format("repro.mpt.MptTableProvider").load(dir)`.
   */
@@ -179,8 +181,8 @@ final class MptScanBuilder(dir: String, manifest: MptManifest)
     stats.fullyMatching = fullyIds.size
     stats.limitOutcome = limitOutcomeStr
 
-    val (entries, scanIdOpt) = topK match {
-      case None => (scanEntries, None)
+    val (entries, scanId) = topK match {
+      case None => (scanEntries, BoundaryRegistry.newScanId())
       case Some(plan) =>
         stats.topKPushed = true
         val orderIdx = manifest.schema.fieldIndex(plan.orderCol)
@@ -203,50 +205,88 @@ final class MptScanBuilder(dir: String, manifest: MptManifest)
             case _                  => false
           }
         }
-        val scanId = BoundaryRegistry.create(plan.k, plan.desc, init)
-        (ordered, Some(scanId))
+        (ordered, BoundaryRegistry.create(plan.k, plan.desc, init))
     }
     stats.afterTopKStatic = entries.size
-    val scanId = scanIdOpt.getOrElse(BoundaryRegistry.create(0, desc = true, None))
-    if (scanIdOpt.isEmpty) BoundaryRegistry.remove(scanId)
     ScanMetrics.register(scanId, stats)
-    new MptScan(dir, manifest.schema, readSchema, entries, rowFilter,
-                topK.filter(_ => scanIdOpt.isDefined), scanId)
+    new MptScan(dir, manifest.schema, readSchema, entries, fullyIds, rowFilter, topK, scanId)
   }
 }
 
+/** One micro-partition of a scan. `orderBest` is its best possible top-k
+  * order value (None without top-k or when the column is all NULL);
+  * `fullyMatching` is its §4.2 certificate: every row passes the pushed
+  * filter, so the reader need not evaluate it.
+  */
 final case class MptInputPartition(dir: String, file: String, partId: Int,
-                                   orderBest: Option[Scalar], scanId: Long)
+                                   orderBest: Option[Scalar], scanId: Long,
+                                   fullyMatching: Boolean = false)
   extends InputPartition
 
+/** One scan task: micro-partitions read one after another, in scan order. */
+final case class MptTaskPartition(parts: Vector[MptInputPartition]) extends InputPartition
+
+/** A planned mpt scan. Its micro-partitions, in scan order (§5.3 boundary
+  * potential under top-k, manifest order otherwise), are dealt round-robin
+  * to one task per core, so every task starts with one of the most
+  * promising micro-partitions.
+  */
 final class MptScan(dir: String, fullSchema: StructType, required: StructType,
-                    entries: Vector[MptPartitionEntry], rowFilter: Option[PExpr],
-                    topK: Option[TopKPlan], scanId: Long) extends Scan with Batch {
+                    entries: Vector[MptPartitionEntry], fullyIds: Set[Int],
+                    rowFilter: Option[PExpr], topK: Option[TopKPlan],
+                    scanId: Long) extends Scan with Batch {
 
   override def readSchema(): StructType = required
   override def toBatch: Batch = this
-  override def description(): String =
-    s"mpt scan of $dir (${entries.size} partitions, topK=$topK, filter=$rowFilter)"
+  override def description(): String = {
+    val tasks = math.min(entries.size, MptScan.parallelism)
+    val fully = entries.count(e => fullyIds.contains(e.id))
+    s"mpt scan of $dir: ${entries.size} micro-partitions in $tasks tasks, $fully fully matching " +
+    s"(topK=$topK, filter=$rowFilter)"
+  }
 
+  /** Fails here, before any task runs, when a planned data file is missing. */
   override def planInputPartitions(): Array[InputPartition] = {
     val orderIdx = topK.map(p => fullSchema.fieldNames.indexOf(p.orderCol))
-    entries.map { e =>
+    val parts = entries.map { e =>
+      if (!new java.io.File(dir, e.file).isFile)
+        throw new java.io.FileNotFoundException(
+          s"mpt table $dir: data file ${e.file} of micro-partition ${e.id} is missing")
       val best = (topK, orderIdx) match {
         case (Some(p), Some(i)) => if (p.desc) e.stats(i).max else e.stats(i).min
         case _                  => None
       }
-      MptInputPartition(dir, e.file, e.id, best, scanId): InputPartition
-    }.toArray
+      MptInputPartition(dir, e.file, e.id, best, scanId, fullyIds.contains(e.id))
+    }
+    MptScan.pack(parts, MptScan.parallelism).toArray
   }
 
   override def createReaderFactory(): PartitionReaderFactory =
     new MptReaderFactory(fullSchema, required, rowFilter, topK)
 }
 
-/** Reads each micro-partition as one [[ColumnarBatch]] of on-heap vectors.
+object MptScan {
+  /** `min(parts.size, tasks)` tasks; task `t` holds parts `t`, `t + tasks`,
+    * `t + 2 · tasks`, … in their given order.
+    */
+  def pack(parts: Vector[MptInputPartition], tasks: Int): Vector[MptTaskPartition] = {
+    val n = math.min(parts.size, tasks)
+    Vector.tabulate(n)(t => MptTaskPartition((t until parts.size by n).map(parts).toVector))
+  }
+
+  private def parallelism: Int = SparkSession.active.sparkContext.defaultParallelism
+}
+
+/** Reads a task's micro-partitions one after another, lazily, as one
+  * [[ColumnarBatch]] of on-heap vectors each; a bare [[MptInputPartition]]
+  * is a task of one. Before it opens a micro-partition the reader consults
+  * the top-k boundary (§5.2), which this and other tasks may have tightened
+  * since the scan was planned.
+  *
   * A reader decodes only the columns it needs: the row filter's and the
   * top-k order column's first, to select the rows that pass the filter and
   * may still reach the top-k; then the `required` columns, for those rows.
+  * The filter is not evaluated on a fully-matching micro-partition.
   * `createReader` is a row view over the same batches.
   */
 final class MptReaderFactory(fullSchema: StructType, required: StructType,
@@ -278,51 +318,20 @@ final class MptReaderFactory(fullSchema: StructType, required: StructType,
   }
 
   override def createColumnarReader(partition: InputPartition): PartitionReader[ColumnarBatch] = {
-    val p = partition.asInstanceOf[MptInputPartition]
-    val stats = ScanMetrics.forScan(p.scanId)
-    val state = topK.flatMap(_ => BoundaryRegistry.get(p.scanId))
-
-    // Runtime top-k pruning (§5.2): consult the shared boundary *now*, after
-    // earlier tasks may have tightened it beyond the plan-time value.
-    if (state.exists(_.shouldSkipPartition(p.orderBest))) {
-      stats.foreach(_.runtimeSkipped.incrementAndGet())
-      return new PartitionReader[ColumnarBatch] {
-        override def next(): Boolean = false
-        override def get(): ColumnarBatch = throw new IllegalStateException("empty")
-        override def close(): Unit = ()
-      }
+    val parts = partition match {
+      case t: MptTaskPartition  => t.parts
+      case p: MptInputPartition => Vector(p)
     }
-
-    stats.foreach(_.filesOpened.incrementAndGet())
     new PartitionReader[ColumnarBatch] {
-      private var read = false
+      private val pending = parts.iterator
       private var batch: ColumnarBatch = _
       private var owned: Seq[ColumnVector] = Nil
 
       override def next(): Boolean = {
-        if (read) return false
-        read = true
-        val chunks = MptDataFile.read(new java.io.File(p.dir, p.file))
-        def decode(name: String, sel: Array[Int]): ColumnVector = {
-          val i = fullSchema.fieldIndex(name)
-          chunks.decode(i, fullSchema.fields(i).dataType, sel)
-        }
-        // The columns the filter and the top-k boundary read, whole.
-        val probeCols = filterCols ++ state.flatMap(_ => topK.map(_.orderCol))
-        val probes = probeCols.iterator.map(c => c -> decode(c, null)).toMap
-        owned = probes.values.toSeq
-        val sel = select(chunks.rowCount, probes, state)
-        val n = if (sel == null) chunks.rowCount else sel.length
-        if (n == 0) return false
-        // Every row selected: emit the decoded vectors as they are; else
-        // decode compacted copies of the selected rows.
-        val out = required.fieldNames.map { c =>
-          if (sel == null) probes.getOrElse(c, decode(c, null)) else decode(c, sel)
-        }
-        owned = (owned ++ out).distinct
-        batch = new ColumnarBatch(out, n)
-        stats.foreach(_.rowsEmitted.addAndGet(n))
-        true
+        close() // the previous micro-partition's vectors
+        while (batch == null && pending.hasNext)
+          read(pending.next()).foreach { case (b, vectors) => batch = b; owned = vectors }
+        batch != null
       }
 
       override def get(): ColumnarBatch = batch
@@ -334,14 +343,55 @@ final class MptReaderFactory(fullSchema: StructType, required: StructType,
     }
   }
 
-  /** The rows that pass the row filter and, under a top-k boundary, may
-    * still reach the top-k, in ascending order; null when that is every row.
+  /** One micro-partition's rows that pass, as a batch plus every vector
+    * decoded for it; None when the runtime boundary skips it or no row
+    * passes.
+    */
+  private def read(p: MptInputPartition): Option[(ColumnarBatch, Seq[ColumnVector])] = {
+    val stats = ScanMetrics.forScan(p.scanId)
+    val state = topK.flatMap(_ => BoundaryRegistry.get(p.scanId))
+
+    // Runtime top-k pruning (§5.2): consult the shared boundary *now*, after
+    // earlier micro-partitions may have tightened it beyond the plan-time value.
+    if (state.exists(_.shouldSkipPartition(p.orderBest))) {
+      stats.foreach(_.runtimeSkipped.incrementAndGet())
+      return None
+    }
+
+    stats.foreach(_.filesOpened.incrementAndGet())
+    val chunks = MptDataFile.read(new java.io.File(p.dir, p.file))
+    def decode(name: String, sel: Array[Int]): ColumnVector = {
+      val i = fullSchema.fieldIndex(name)
+      chunks.decode(i, fullSchema.fields(i).dataType, sel)
+    }
+    val filter = if (p.fullyMatching) None else rowFilter
+    // The columns the filter and the top-k boundary read, whole.
+    val probeCols = (if (filter.isDefined) filterCols else Set.empty[String]) ++
+      state.flatMap(_ => topK.map(_.orderCol))
+    val probes = probeCols.iterator.map(c => c -> decode(c, null)).toMap
+    val sel = select(chunks.rowCount, probes, filter, state)
+    val n = if (sel == null) chunks.rowCount else sel.length
+    if (n == 0) {
+      probes.values.foreach(_.close())
+      return None
+    }
+    // Every row selected: emit the decoded vectors as they are; else
+    // decode compacted copies of the selected rows.
+    val out = required.fieldNames.map { c =>
+      if (sel == null) probes.getOrElse(c, decode(c, null)) else decode(c, sel)
+    }
+    stats.foreach(_.rowsEmitted.addAndGet(n))
+    Some((new ColumnarBatch(out, n), (probes.values.toSeq ++ out).distinct))
+  }
+
+  /** The rows that pass `filter` and, under a top-k boundary, may still
+    * reach the top-k, in ascending order; null when that is every row.
     * The filter is [[PExprEval]] over the decoded vectors, each column name
     * bound to its vector once.
     */
-  private def select(rows: Int, probes: Map[String, ColumnVector],
+  private def select(rows: Int, probes: Map[String, ColumnVector], filter: Option[PExpr],
                      state: Option[BoundaryRegistry.State]): Array[Int] = {
-    if (rowFilter.isEmpty && state.isEmpty) return null
+    if (filter.isEmpty && state.isEmpty) return null
     val values = new java.util.HashMap[String, Int => Option[Scalar]]()
     probes.foreach { case (c, v) => values.put(c, MptReaderFactory.scalars(v, fullSchema(c).dataType)) }
     var row = 0
@@ -349,13 +399,13 @@ final class MptReaderFactory(fullSchema: StructType, required: StructType,
       val f = values.get(name)
       if (f == null) None else f(row)
     }
-    val filter = rowFilter.orNull
+    val pred = filter.orNull
     val boundary = state.orNull
     val orderAt = if (boundary == null) null else values.get(topK.get.orderCol)
     val sel = new Array[Int](rows)
     var n = 0
     while (row < rows) {
-      var keep = filter == null || PExprEval.passes(filter, lookup)
+      var keep = pred == null || PExprEval.passes(pred, lookup)
       if (keep && boundary != null) {
         val v = orderAt(row)
         v.foreach(boundary.observe) // tighten the boundary first …
