@@ -19,13 +19,68 @@ final case class ClassifiedPartition(meta: PartitionMeta, cls: MatchClass) {
   def fullyMatching: Boolean = cls == MatchClass.FullyMatching
 }
 
-/** Result of filter pruning over a table's partitions. */
-final case class FilterPruneResult(partitions: Seq[ClassifiedPartition]) {
-  def total: Int = partitions.size
-  lazy val scanSet: Seq[PartitionMeta]       = partitions.filter(_.inScanSet).map(_.meta)
-  lazy val fullyMatching: Seq[PartitionMeta] = partitions.filter(_.fullyMatching).map(_.meta)
-  def prunedCount: Int = partitions.count(!_.inScanSet)
+/** Result of filter pruning over partitions of one [[TableStats]]: one class
+  * byte per classified partition. `scanIndices` and `fullyIndices` are
+  * positions in `stats.metas`, in classification order; the record views
+  * (`partitions`, `scanSet`, `fullyMatching`) are built on first use.
+  */
+final class FilterPruneResult private (val stats: TableStats, indices: Array[Int], classes: Array[Byte]) {
+  import FilterPruneResult._
+
+  /** Classified partitions in the scan set (partially or fully matching). */
+  val scanIndices: Array[Int] = select(Partial)
+  /** Classified partitions certified fully matching (§4.2). */
+  val fullyIndices: Array[Int] = select(Fully)
+
+  def total: Int = indices.length
+  def scanCount: Int = scanIndices.length
+  def prunedCount: Int = total - scanCount
   def pruningRatio: Double = if (total == 0) 0.0 else prunedCount.toDouble / total
+
+  lazy val partitions: Seq[ClassifiedPartition] =
+    Vector.tabulate(total)(j => ClassifiedPartition(stats.metas(indices(j)), matchClass(classes(j))))
+  lazy val scanSet: Seq[PartitionMeta]       = scanIndices.iterator.map(stats.metas).toVector
+  lazy val fullyMatching: Seq[PartitionMeta] = fullyIndices.iterator.map(stats.metas).toVector
+
+  /** The classified indices whose class is at least `min`. */
+  private def select(min: Byte): Array[Int] = {
+    var n = 0
+    var j = 0
+    while (j < classes.length) { if (classes(j) >= min) n += 1; j += 1 }
+    val out = new Array[Int](n)
+    n = 0; j = 0
+    while (j < classes.length) { if (classes(j) >= min) { out(n) = indices(j); n += 1 }; j += 1 }
+    out
+  }
+}
+
+object FilterPruneResult {
+  /** Class bytes, ordered so that "in the scan set" is `>= Partial`. */
+  private[core] final val Not: Byte     = 0
+  private[core] final val Partial: Byte = 1
+  private[core] final val Fully: Byte   = 2
+
+  private def matchClass(b: Byte): MatchClass = b match {
+    case Not     => MatchClass.NotMatching
+    case Partial => MatchClass.PartiallyMatching
+    case _       => MatchClass.FullyMatching
+  }
+
+  private def code(c: MatchClass): Byte = c match {
+    case MatchClass.NotMatching       => Not
+    case MatchClass.PartiallyMatching => Partial
+    case MatchClass.FullyMatching     => Fully
+  }
+
+  /** `classes(j)` is the class of partition `indices(j)` of `stats`. */
+  private[core] def of(stats: TableStats, indices: Array[Int], classes: Array[Byte]): FilterPruneResult =
+    new FilterPruneResult(stats, indices, classes)
+
+  /** A result over the given classified records, in their order. */
+  def apply(partitions: Seq[ClassifiedPartition]): FilterPruneResult = {
+    val stats = TableStats.of(partitions.iterator.map(_.meta).toVector)
+    new FilterPruneResult(stats, Array.range(0, partitions.size), partitions.iterator.map(p => code(p.cls)).toArray)
+  }
 }
 
 /** §3 compile-time filter pruning + §4.2 fully-matching detection, in one
@@ -39,24 +94,29 @@ final case class FilterPruneResult(partitions: Seq[ClassifiedPartition]) {
   * vacuously not-matching.
   */
 object FilterPruner {
+  import FilterPruneResult.{Fully, Not, Partial}
 
   def classify(stats: TableStats, pred: PExpr): FilterPruneResult =
-    classifyAt(stats, pred, stats.metas.indices)
+    classifyAt(stats, pred, Array.range(0, stats.rowCount.length))
 
-  /** Classify only the partitions of `stats` at `indices`. */
-  def classifyAt(stats: TableStats, pred: PExpr, indices: Seq[Int]): FilterPruneResult = {
+  /** Classify only the partitions of `stats` at `indices`, in that order. */
+  def classifyAt(stats: TableStats, pred: PExpr, indices: Array[Int]): FilterPruneResult = {
     val bound = RangeEval.bind(pred, stats)
-    FilterPruneResult(indices.map { i =>
-      val cls =
-        if (stats.rowCount(i) == 0) MatchClass.NotMatching
+    val classes = new Array[Byte](indices.length)
+    var j = 0
+    while (j < indices.length) {
+      val i = indices(j)
+      classes(j) =
+        if (stats.rowCount(i) == 0) Not
         else {
           val o = bound.outcomes(i)
-          if ((o & RangeEval.T) == 0) MatchClass.NotMatching
-          else if (o == RangeEval.T) MatchClass.FullyMatching
-          else MatchClass.PartiallyMatching
+          if ((o & RangeEval.T) == 0) Not
+          else if (o == RangeEval.T) Fully
+          else Partial
         }
-      ClassifiedPartition(stats.metas(i), cls)
-    })
+      j += 1
+    }
+    FilterPruneResult.of(stats, indices, classes)
   }
 
   def classify(parts: Seq[PartitionMeta], pred: PExpr): FilterPruneResult =
@@ -65,15 +125,19 @@ object FilterPruner {
   /** A query without predicates scans everything; every non-empty partition
     * is trivially fully-matching (§4.2).
     */
-  def noPredicate(parts: Seq[PartitionMeta]): FilterPruneResult =
-    FilterPruneResult(parts.map { meta =>
-      val cls = if (meta.rowCount == 0) MatchClass.NotMatching else MatchClass.FullyMatching
-      ClassifiedPartition(meta, cls)
-    })
+  def noPredicate(stats: TableStats): FilterPruneResult = {
+    val rows = stats.rowCount
+    FilterPruneResult.of(stats, Array.range(0, rows.length), Array.tabulate(rows.length)(i => if (rows(i) == 0) Not else Fully))
+  }
+
+  def noPredicate(parts: Seq[PartitionMeta]): FilterPruneResult = noPredicate(TableStats.ofSeq(parts))
 
   def classifyOpt(stats: TableStats, pred: Option[PExpr]): FilterPruneResult =
-    pred.map(classify(stats, _)).getOrElse(noPredicate(stats.metas))
+    pred match {
+      case Some(p) => classify(stats, p)
+      case None    => noPredicate(stats)
+    }
 
   def classifyOpt(parts: Seq[PartitionMeta], pred: Option[PExpr]): FilterPruneResult =
-    pred.map(classify(parts, _)).getOrElse(noPredicate(parts))
+    classifyOpt(TableStats.ofSeq(parts), pred)
 }

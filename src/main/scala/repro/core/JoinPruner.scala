@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.meta.{ColumnStats, PartitionMeta, Scalar, ValueRange}
+import repro.meta.{ColumnArrays, ColumnStats, PartitionMeta, Scalar, TableStats, ValueRange}
 
 /** §6 — partition pruning for JOIN queries (coarse-grained sideways
   * information passing).
@@ -26,22 +26,61 @@ object JoinPruner {
     def mayOverlap(range: ValueRange): Boolean
     /** Approximate serialized size, to reason about the accuracy/size trade-off. */
     def sizeBytes: Long
+    /** The summary's intervals unboxed, when every bound is a long and the
+      * intervals are sorted and disjoint; else null.
+      */
+    private[core] def longs: LongIntervals
+  }
+
+  /** Sorted, disjoint intervals `[lo(j), hi(j)]` of longs. */
+  private[core] final class LongIntervals(lo: Array[Long], hi: Array[Long]) {
+    /** Does some interval meet `[mn, mx]`? The first interval ending at or
+      * after `mn` is the only candidate, as the intervals are sorted.
+      */
+    def overlaps(mn: Long, mx: Long): Boolean = {
+      var a = 0; var b = hi.length
+      while (a < b) {
+        val mid = (a + b) >>> 1
+        if (hi(mid) < mn) a = mid + 1 else b = mid
+      }
+      a < hi.length && lo(a) <= mx
+    }
+  }
+
+  private object LongIntervals {
+    def of(bounds: IndexedSeq[(Scalar, Scalar)]): LongIntervals = {
+      val lo = new Array[Long](bounds.size)
+      val hi = new Array[Long](bounds.size)
+      var j = 0
+      while (j < bounds.size) {
+        bounds(j) match {
+          case (Scalar.LongV(a), Scalar.LongV(b)) if a <= b && (j == 0 || hi(j - 1) < a) =>
+            lo(j) = a; hi(j) = b
+          case _ => return null
+        }
+        j += 1
+      }
+      new LongIntervals(lo, hi)
+    }
   }
 
   /** Empty build side: nothing can join; every probe partition is pruned. */
   case object EmptySummary extends BuildSummary {
     def mayOverlap(range: ValueRange): Boolean = false
     def sizeBytes: Long = 0L
+    private[core] val longs: LongIntervals = LongIntervals.of(Vector.empty)
   }
 
   final case class MinMaxSummary(range: ValueRange) extends BuildSummary {
     def mayOverlap(r: ValueRange): Boolean = range.overlaps(r)
     def sizeBytes: Long = 16L
+    private[core] lazy val longs: LongIntervals = LongIntervals.of(Vector((range.min, range.max)))
   }
 
   final case class RangeSetSummary(ranges: Vector[ValueRange]) extends BuildSummary {
     def mayOverlap(r: ValueRange): Boolean = ranges.exists(_.overlaps(r))
     def sizeBytes: Long = 16L * ranges.size
+    private[core] lazy val longs: LongIntervals = LongIntervals.of(ranges.map(r => (r.min, r.max)))
   }
 
   final case class ExactSetSummary(sorted: Vector[Scalar]) extends BuildSummary {
@@ -55,6 +94,7 @@ object JoinPruner {
       lo < sorted.size && Scalar.lte(sorted(lo), r.max).contains(true)
     }
     def sizeBytes: Long = 8L * sorted.size
+    private[core] lazy val longs: LongIntervals = LongIntervals.of(sorted.map(v => (v, v)))
   }
 
   /** Build a summary from the build side's join-key values.
@@ -65,29 +105,78 @@ object JoinPruner {
     *                  least. `Int.MaxValue` yields an exact set.
     */
   def summarize(values: IterableOnce[Scalar], maxRanges: Int = 64): BuildSummary = {
-    val distinct = values.iterator.toVector.distinct
-    if (distinct.isEmpty) EmptySummary
-    else {
-      val sorted = distinct.sortWith((a, b) => Scalar.lt(a, b).contains(true))
-      if (maxRanges == Int.MaxValue) ExactSetSummary(sorted)
-      else if (maxRanges <= 1) MinMaxSummary(ValueRange(sorted.head, sorted.last))
-      else if (sorted.size <= maxRanges) ExactSetSummary(sorted)
-      else {
-        // Keep the (maxRanges - 1) largest gaps as cuts between intervals.
-        val gaps = (1 until sorted.size).map { i =>
-          val w = for {
-            a <- Scalar.asDouble(sorted(i - 1)); b <- Scalar.asDouble(sorted(i))
-          } yield b - a
-          (i, w.getOrElse(0.0))
-        }
-        val cuts = gaps.sortBy(-_._2).take(maxRanges - 1).map(_._1).sorted
-        val bounds = (0 +: cuts) :+ sorted.size
-        val ranges = bounds.sliding(2).collect {
-          case Seq(s, e) if s < e => ValueRange(sorted(s), sorted(e - 1))
-        }.toVector
-        RangeSetSummary(ranges)
+    val all = values.iterator.toArray
+    val longs = new Array[Long](all.length)
+    var i = 0
+    var allLongs = true
+    while (allLongs && i < all.length) {
+      all(i) match {
+        case Scalar.LongV(v) => longs(i) = v
+        case _               => allLongs = false
       }
+      i += 1
     }
+    if (!allLongs) summarizeScalars(all, maxRanges)
+    else {
+      // Sort, then drop repeats in place.
+      java.util.Arrays.sort(longs)
+      var n = 0
+      i = 0
+      while (i < longs.length) {
+        if (n == 0 || longs(n - 1) != longs(i)) { longs(n) = longs(i); n += 1 }
+        i += 1
+      }
+      fromSorted(n, j => Scalar.LongV(longs(j)), j => longs(j).toDouble - longs(j - 1).toDouble, maxRanges)
+    }
+  }
+
+  /** [[summarize]] over boxed values of any type family. */
+  private def summarizeScalars(values: IterableOnce[Scalar], maxRanges: Int): BuildSummary = {
+    val sorted = values.iterator.toVector.distinct.sortWith((a, b) => Scalar.lt(a, b).contains(true))
+    fromSorted(sorted.size, sorted, { j =>
+      val w = for { a <- Scalar.asDouble(sorted(j - 1)); b <- Scalar.asDouble(sorted(j)) } yield b - a
+      w.getOrElse(0.0)
+    }, maxRanges)
+  }
+
+  /** The summary of `n` sorted distinct values, value `j` being `at(j)` and
+    * `gap(j)` the width between values `j - 1` and `j`.
+    */
+  private def fromSorted(n: Int, at: Int => Scalar, gap: Int => Double, maxRanges: Int): BuildSummary =
+    if (n == 0) EmptySummary
+    else if (maxRanges == Int.MaxValue) ExactSetSummary(Vector.tabulate(n)(at))
+    else if (maxRanges <= 1) MinMaxSummary(ValueRange(at(0), at(n - 1)))
+    else if (n <= maxRanges) ExactSetSummary(Vector.tabulate(n)(at))
+    else {
+      // Keep the (maxRanges - 1) largest gaps as cuts between intervals.
+      val bounds = (0 +: largestGaps(n, gap, maxRanges - 1).toSeq) :+ n
+      RangeSetSummary(bounds.sliding(2).map { case Seq(s, e) => ValueRange(at(s), at(e - 1)) }.toVector)
+    }
+
+  /** The positions `j` in `1 until n` of the `m < n` largest gaps, ascending.
+    * Equal gaps go to the lower position first: the choice of a stable sort
+    * by decreasing gap, made with one sort of the unboxed gaps.
+    */
+  private def largestGaps(n: Int, gap: Int => Double, m: Int): Array[Int] = {
+    // Decreasing gap is increasing `-gap` in Double.compare's total order.
+    val key = Array.tabulate(n - 1)(j => -gap(j + 1))
+    val sorted = key.clone()
+    java.util.Arrays.sort(sorted)
+    val t = sorted(m - 1)
+    var ties = m
+    key.foreach(k => if (java.lang.Double.compare(k, t) < 0) ties -= 1)
+    val cuts = new Array[Int](m)
+    var c = 0
+    var j = 0
+    while (c < m) {
+      val cmp = java.lang.Double.compare(key(j), t)
+      if (cmp < 0 || (cmp == 0 && ties > 0)) {
+        if (cmp == 0) ties -= 1
+        cuts(c) = j + 1; c += 1
+      }
+      j += 1
+    }
+    cuts
   }
 
   final case class JoinPruneResult(
@@ -104,13 +193,40 @@ object JoinPruner {
     */
   def pruneProbe(probeParts: Seq[PartitionMeta], joinCol: String,
                  summary: BuildSummary): JoinPruneResult = {
-    val (kept, pruned) = probeParts.partition { m =>
-      m.col(joinCol) match {
-        case Some(ColumnStats(Some(mn), Some(mx), _)) => summary.mayOverlap(ValueRange(mn, mx))
-        case Some(ColumnStats(None, None, _))         => false // all NULL keys
-        case _                                        => true  // missing stats: keep
-      }
-    }
-    JoinPruneResult(kept, pruned.size, probeParts.size, summary)
+    val stats = TableStats.ofSeq(probeParts)
+    val kept = pruneProbe(stats, Array.range(0, stats.rowCount.length), joinCol, summary)
+    JoinPruneResult(kept.iterator.map(stats.metas).toVector, probeParts.size - kept.length, probeParts.size, summary)
   }
+
+  /** The positions among `indices` of the partitions of `stats` that may
+    * join, in their given order. Long keys against a long summary compare
+    * unboxed; every other pairing goes through [[mayJoin]].
+    */
+  def pruneProbe(stats: TableStats, indices: Array[Int], joinCol: String,
+                 summary: BuildSummary): Array[Int] = {
+    val kept = new Array[Int](indices.length)
+    var n = 0
+    (stats.column(joinCol), summary.longs) match {
+      case (col: ColumnArrays.Longs, longs) if !col.dates && longs != null =>
+        indices.foreach { i =>
+          val keep = col.state(i) match {
+            case ColumnArrays.Ranged  => longs.overlaps(col.min(i), col.max(i))
+            case ColumnArrays.Absent  => true
+            case _                    => mayJoin(stats.metas(i), joinCol, summary)
+          }
+          if (keep) { kept(n) = i; n += 1 }
+        }
+      case _ =>
+        indices.foreach(i => if (mayJoin(stats.metas(i), joinCol, summary)) { kept(n) = i; n += 1 })
+    }
+    java.util.Arrays.copyOf(kept, n)
+  }
+
+  /** May partition `m` hold a key that joins? */
+  private def mayJoin(m: PartitionMeta, joinCol: String, summary: BuildSummary): Boolean =
+    m.col(joinCol) match {
+      case Some(ColumnStats(Some(mn), Some(mx), _)) => summary.mayOverlap(ValueRange(mn, mx))
+      case Some(ColumnStats(None, None, _))         => false // all NULL keys
+      case _                                        => true  // missing stats: keep
+    }
 }

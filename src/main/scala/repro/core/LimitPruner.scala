@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.meta.PartitionMeta
+import repro.meta.{PartitionMeta, TableStats}
 
 /** §4 — pruning for LIMIT queries.
   *
@@ -27,7 +27,10 @@ object LimitPruner {
     final case class Pruned(resultPartitions: Int) extends LimitOutcome
   }
 
-  final case class LimitPruneResult(scanSet: Seq[PartitionMeta], outcome: LimitOutcome)
+  /** The scan set as positions in `stats.metas`, in scan order. */
+  final class LimitPruneResult(val stats: TableStats, val scanIndices: Array[Int], val outcome: LimitOutcome) {
+    lazy val scanSet: Seq[PartitionMeta] = scanIndices.iterator.map(stats.metas).toVector
+  }
 
   /** @param filtered       result of filter pruning (pass 1 + 2)
     * @param k              the LIMIT (incl. OFFSET if any)
@@ -35,24 +38,32 @@ object LimitPruner {
     *                       operators, §4.3); joins/aggregations block, the
     *                       build side of a LEFT OUTER JOIN does not.
     */
-  def prune(filtered: FilterPruneResult, k: Long, shapeSupported: Boolean): LimitPruneResult = {
-    val scan = filtered.scanSet
-    if (scan.size <= 1)
-      LimitPruneResult(scan, LimitOutcome.AlreadyMinimal)
+  def prune(filtered: FilterPruneResult, k: Long, shapeSupported: Boolean): LimitPruneResult =
+    prune(filtered.stats, filtered.scanIndices, filtered.fullyIndices, k, shapeSupported)
+
+  /** LIMIT pruning of the partitions of `stats` at `scan`, of which those at
+    * `fully` are fully matching.
+    */
+  def prune(stats: TableStats, scan: Array[Int], fully: Array[Int], k: Long,
+            shapeSupported: Boolean): LimitPruneResult = {
+    if (scan.length <= 1)
+      new LimitPruneResult(stats, scan, LimitOutcome.AlreadyMinimal)
     else if (!shapeSupported)
-      LimitPruneResult(scan, LimitOutcome.Unsupported(shapeBlocked = true))
+      new LimitPruneResult(stats, scan, LimitOutcome.Unsupported(shapeBlocked = true))
     else {
-      val full = filtered.fullyMatching
-      val coverage = full.map(_.rowCount).sum
+      val rows = stats.rowCount
+      var coverage = 0L
+      fully.foreach(i => coverage += rows(i))
       if (coverage < k)
-        LimitPruneResult(scan, LimitOutcome.Unsupported(shapeBlocked = false))
+        new LimitPruneResult(stats, scan, LimitOutcome.Unsupported(shapeBlocked = false))
       else {
-        // Greedy by descending row count yields the minimal partition count.
-        val chosen = scala.collection.mutable.ArrayBuffer.empty[PartitionMeta]
+        // Greedy by descending row count (stable) yields the minimal
+        // partition count.
+        val byRows = fully.toSeq.sortBy(i => -rows(i))
+        var n = 0
         var acc = 0L
-        val it = full.sortBy(-_.rowCount).iterator
-        while (acc < k && it.hasNext) { val p = it.next(); chosen += p; acc += p.rowCount }
-        LimitPruneResult(chosen.toSeq, LimitOutcome.Pruned(chosen.size))
+        while (acc < k && n < byRows.length) { acc += rows(byRows(n)); n += 1 }
+        new LimitPruneResult(stats, byRows.take(n).toArray, LimitOutcome.Pruned(n))
       }
     }
   }

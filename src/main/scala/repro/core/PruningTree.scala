@@ -97,23 +97,25 @@ final class AdaptivePruner(
 
   def run(parts: Seq[PartitionMeta]): Seq[PartitionMeta] = {
     val stats = TableStats.ofSeq(parts)
-    keptIndices(stats).map(stats.metas)
+    keptIndices(stats).iterator.map(stats.metas).toVector
   }
 
   /** Indices of the partitions of `stats` that may match. Every leaf is bound
     * to `stats` once, then the partitions stream through the tree in order.
     */
-  def keptIndices(stats: TableStats): IndexedSeq[Int] = {
+  def keptIndices(stats: TableStats): Array[Int] = {
     leaves.foreach(l => l.bound = RangeEval.bind(l.pred, stats))
-    stats.metas.indices.filter { i =>
-      stats.rowCount(i) > 0 && {
-        val r = evalNode(root, i)
+    val kept = new Array[Int](stats.rowCount.length)
+    var n = 0
+    kept.indices.foreach { i =>
+      if (stats.rowCount(i) > 0) {
+        if (evalNode(root, i)) { kept(n) = i; n += 1 }
         seen += 1
         if (seen % config.reorderEvery == 0) reorder(root)
         if (seen % config.cutoffCheckEvery == 0) cutoff(root, parentIsAnd = true)
-        r
       }
     }
+    java.util.Arrays.copyOf(kept, n)
   }
 
   private def evalNode(n: Node, p: Int): Boolean = n match {

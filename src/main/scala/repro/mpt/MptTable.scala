@@ -16,7 +16,7 @@ import org.apache.spark.sql.util.CaseInsensitiveStringMap
 import org.apache.spark.sql.vectorized.{ColumnVector, ColumnarBatch}
 
 import repro.core._
-import repro.meta.{PartitionMeta, Scalar}
+import repro.meta.Scalar
 
 /** DataSource V2 provider for mpt (micro-partitioned) tables.
   *
@@ -49,17 +49,29 @@ class MptTableProvider extends TableProvider {
     p
   }
 
-  override def inferSchema(options: CaseInsensitiveStringMap): StructType =
-    MptManifest.read(dirOf(options)).schema
+  /** The manifest `inferSchema` read, with its directory, for `getTable`. */
+  private var inferred: Option[(String, MptManifest)] = None
 
+  override def inferSchema(options: CaseInsensitiveStringMap): StructType = {
+    val dir = dirOf(options)
+    val manifest = MptManifest.read(dir)
+    inferred = Some(dir -> manifest)
+    manifest.schema
+  }
+
+  /** The table over the manifest `inferSchema` read for the same path, so
+    * that one `load()` sees one snapshot of the table; else over a fresh read.
+    */
   override def getTable(schema: StructType, partitioning: Array[Transform],
                         properties: JMap[String, String]): Table = {
     val dir = dirOf(new CaseInsensitiveStringMap(properties))
-    new MptTable(dir, MptManifest.read(dir))
+    val manifest = inferred.collect { case (d, m) if d == dir => m }.getOrElse(MptManifest.read(dir))
+    inferred = None
+    new MptTable(dir, manifest)
   }
 }
 
-final class MptTable(dir: String, manifest: MptManifest) extends Table with SupportsRead {
+final class MptTable(dir: String, val manifest: MptManifest) extends Table with SupportsRead {
   override def name(): String = s"mpt:$dir"
   override def schema(): StructType = manifest.schema
   override def capabilities(): java.util.Set[TableCapability] =
@@ -78,28 +90,26 @@ final class MptScanBuilder(dir: String, manifest: MptManifest)
     with SupportsPushDownLimit
     with SupportsPushDownTopN {
 
-  private val metaById: Map[Int, PartitionMeta] =
-    manifest.stats.metas.map(m => m.id -> m).toMap
-
-  // Scan-set state, refined by each pushdown in Catalyst's order:
-  // filters → limit / topN → column pruning.
-  private var scanEntries: Vector[MptPartitionEntry] =
-    manifest.partitions.filter(_.rowCount > 0)
-  private var fullyIds: Set[Int] = scanEntries.map(_.id).toSet // no-pred: all fully (§4.2)
+  // Scan-set state, as positions in `manifest.partitions` (and its stats),
+  // refined by each pushdown in Catalyst's order: filters → limit / topN →
+  // column pruning. Without a predicate every non-empty partition is in the
+  // scan set and fully matching (§4.2).
+  private var scan: Array[Int] = FilterPruner.noPredicate(manifest.stats).scanIndices
+  private var fully: Array[Int] = scan
   private var acceptedFilters: Array[Filter] = Array.empty
   private var rowFilter: Option[PExpr] = None
   private var readSchema: StructType = manifest.schema
   private var topK: Option[TopKPlan] = None
   private var limitOutcomeStr: String = ""
-  private var afterFilterCount: Int = scanEntries.size
-  private var afterLimitCount: Int = scanEntries.size
+  private var afterFilterCount: Int = scan.length
+  private var afterLimitCount: Int = scan.length
 
   override def pushFilters(filters: Array[Filter]): Array[Filter] = {
     val (ok, residual) = filters.partition(f => FilterTranslator.translate(f).isDefined)
     acceptedFilters = ok
     val pexprs = ok.toSeq.flatMap(FilterTranslator.translate)
     rowFilter = if (pexprs.nonEmpty) Some(PExpr.and(pexprs)) else None
-    rowFilter.foreach { pred =>
+    val filtered = rowFilter.fold(FilterPruner.noPredicate(manifest.stats)) { pred =>
       // The pruners run over the manifest's stats, skipping empty partitions;
       // filters are pushed before limit and top-N, so that is the scan set.
       // The adaptive pruning tree (§3.2) prunes first: filter leaves are
@@ -109,18 +119,14 @@ final class MptScanBuilder(dir: String, manifest: MptManifest)
       val kept = new AdaptivePruner(PruningTree.fromPExpr(pred)).keptIndices(manifest.stats)
       // The survivors are classified in one pass, which also certifies the
       // fully-matching ones (§4.2).
-      val classified = FilterPruner.classifyAt(manifest.stats, pred, kept)
-      val keep = classified.scanSet.map(_.id).toSet
-      scanEntries = scanEntries.filter(e => keep.contains(e.id))
-      // Residual filters Spark re-applies could reject rows of a partition we
-      // deem fully matching, so §4.2 certification requires full translation.
-      fullyIds =
-        if (residual.nonEmpty) Set.empty
-        else classified.fullyMatching.map(_.id).toSet
+      FilterPruner.classifyAt(manifest.stats, pred, kept)
     }
-    if (rowFilter.isEmpty && filters.nonEmpty) fullyIds = Set.empty
-    afterFilterCount = scanEntries.size
-    afterLimitCount = scanEntries.size
+    scan = filtered.scanIndices
+    // Residual filters Spark re-applies could reject rows of a partition we
+    // deem fully matching, so §4.2 certification requires full translation.
+    fully = if (residual.nonEmpty) Array.emptyIntArray else filtered.fullyIndices
+    afterFilterCount = scan.length
+    afterLimitCount = scan.length
     residual
   }
 
@@ -132,22 +138,17 @@ final class MptScanBuilder(dir: String, manifest: MptManifest)
   override def isPartiallyPushed(): Boolean = true
 
   override def pushLimit(limit: Int): Boolean = {
-    // Reconstruct the classification LimitPruner expects.
-    val classified = FilterPruneResult(scanEntries.map { e =>
-      val cls = if (fullyIds.contains(e.id)) MatchClass.FullyMatching
-                else MatchClass.PartiallyMatching
-      ClassifiedPartition(metaById(e.id), cls)
-    })
-    val res = LimitPruner.prune(classified, limit.toLong, shapeSupported = true)
+    val res = LimitPruner.prune(manifest.stats, scan, fully, limit.toLong, shapeSupported = true)
     limitOutcomeStr = LimitPruner.bucket(res.outcome)
     res.outcome match {
       case LimitPruner.LimitOutcome.Pruned(_) =>
-        val keep = res.scanSet.map(_.id).toSet
-        scanEntries = scanEntries.filter(e => keep.contains(e.id))
-        afterLimitCount = scanEntries.size
+        // Keep the chosen partitions in scan (manifest) order.
+        val chosen = res.scanIndices.toSet
+        scan = scan.filter(chosen)
+        afterLimitCount = scan.length
         true
       case _ =>
-        afterLimitCount = scanEntries.size
+        afterLimitCount = scan.length
         false
     }
   }
@@ -178,38 +179,43 @@ final class MptScanBuilder(dir: String, manifest: MptManifest)
     stats.totalPartitions = manifest.partitions.size
     stats.afterFilterPruning = afterFilterCount
     stats.afterLimitPruning = afterLimitCount
-    stats.fullyMatching = fullyIds.size
+    stats.fullyMatching = fully.length
     stats.limitOutcome = limitOutcomeStr
 
-    val (entries, scanId) = topK match {
-      case None => (scanEntries, BoundaryRegistry.newScanId())
+    val (ordered, scanId) = topK match {
+      case None => (scan, BoundaryRegistry.newScanId())
       case Some(plan) =>
         stats.topKPushed = true
         val orderIdx = manifest.schema.fieldIndex(plan.orderCol)
-        def bestOf(e: MptPartitionEntry): Option[Scalar] =
-          if (plan.desc) e.stats(orderIdx).max else e.stats(orderIdx).min
+        def bestOf(i: Int): Option[Scalar] = {
+          val s = manifest.partitions(i).stats(orderIdx)
+          if (plan.desc) s.max else s.min
+        }
         val q = TopKPruner.TopKQuery(plan.orderCol, plan.k, plan.desc)
-        val init = TopKPruner.upfrontBoundary(fullyIds.toSeq.map(metaById), q)
+        val init = TopKPruner.upfrontBoundary(fully.toSeq.map(manifest.stats.metas), q)
         val strictlyBetter = (a: Scalar, b: Scalar) =>
           Scalar.compare(a, b).exists(c => if (plan.desc) c > 0 else c < 0)
         // §5.4 static pruning: below the upfront boundary nothing can qualify.
         val statically = init match {
-          case None    => scanEntries
-          case Some(b) => scanEntries.filter(e => !bestOf(e).forall(v => strictlyBetter(b, v)))
+          case None    => scan
+          case Some(b) => scan.filter(i => !bestOf(i).forall(v => strictlyBetter(b, v)))
         }
         // §5.3 processing order: best boundary potential first; all-null last.
-        val ordered = statically.sortWith { (x, y) =>
+        val ordered = statically.toSeq.sortWith { (x, y) =>
           (bestOf(x), bestOf(y)) match {
             case (Some(a), Some(b)) => strictlyBetter(a, b)
             case (Some(_), None)    => true
             case _                  => false
           }
         }
-        (ordered, BoundaryRegistry.create(plan.k, plan.desc, init))
+        (ordered.toArray, BoundaryRegistry.create(plan.k, plan.desc, init))
     }
-    stats.afterTopKStatic = entries.size
+    stats.afterTopKStatic = ordered.length
     ScanMetrics.register(scanId, stats)
-    new MptScan(dir, manifest.schema, readSchema, entries, fullyIds, rowFilter, topK, scanId)
+    val certified = new Array[Boolean](manifest.partitions.size)
+    fully.foreach(i => certified(i) = true)
+    new MptScan(dir, manifest.schema, readSchema, ordered.toVector.map(manifest.partitions),
+                ordered.toVector.map(certified), rowFilter, topK, scanId)
   }
 }
 
@@ -232,23 +238,37 @@ final case class MptTaskPartition(parts: Vector[MptInputPartition]) extends Inpu
   * promising micro-partitions.
   */
 final class MptScan(dir: String, fullSchema: StructType, required: StructType,
-                    entries: Vector[MptPartitionEntry], fullyIds: Set[Int],
+                    entries: Vector[MptPartitionEntry], fullyMatching: Vector[Boolean],
                     rowFilter: Option[PExpr], topK: Option[TopKPlan],
-                    scanId: Long) extends Scan with Batch {
+                    scanId: Long) extends Scan with Batch with SupportsReportStatistics {
 
   override def readSchema(): StructType = required
   override def toBatch: Batch = this
   override def description(): String = {
     val tasks = math.min(entries.size, MptScan.parallelism)
-    val fully = entries.count(e => fullyIds.contains(e.id))
+    val fully = fullyMatching.count(identity)
     s"mpt scan of $dir: ${entries.size} micro-partitions in $tasks tasks, $fully fully matching " +
     s"(topK=$topK, filter=$rowFilter)"
+  }
+
+  /** The planned micro-partitions' rows at Spark's size per row of the
+    * read schema (`EstimationUtils.getSizePerRow`: 8 bytes of row overhead
+    * plus each column's default size), so that Catalyst can plan a
+    * broadcast join. The row count stays unknown: it is an upper bound
+    * until the row filter has run.
+    */
+  override def estimateStatistics(): Statistics = {
+    val size = entries.iterator.map(_.rowCount).sum * (8L + required.defaultSize)
+    new Statistics {
+      override def sizeInBytes(): java.util.OptionalLong = java.util.OptionalLong.of(size)
+      override def numRows(): java.util.OptionalLong = java.util.OptionalLong.empty()
+    }
   }
 
   /** Fails here, before any task runs, when a planned data file is missing. */
   override def planInputPartitions(): Array[InputPartition] = {
     val orderIdx = topK.map(p => fullSchema.fieldNames.indexOf(p.orderCol))
-    val parts = entries.map { e =>
+    val parts = entries.zip(fullyMatching).map { case (e, fully) =>
       if (!new java.io.File(dir, e.file).isFile)
         throw new java.io.FileNotFoundException(
           s"mpt table $dir: data file ${e.file} of micro-partition ${e.id} is missing")
@@ -256,7 +276,7 @@ final class MptScan(dir: String, fullSchema: StructType, required: StructType,
         case (Some(p), Some(i)) => if (p.desc) e.stats(i).max else e.stats(i).min
         case _                  => None
       }
-      MptInputPartition(dir, e.file, e.id, best, scanId, fullyIds.contains(e.id))
+      MptInputPartition(dir, e.file, e.id, best, scanId, fully)
     }
     MptScan.pack(parts, MptScan.parallelism).toArray
   }

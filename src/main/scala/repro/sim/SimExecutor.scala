@@ -3,7 +3,7 @@ package repro.sim
 import scala.collection.mutable
 
 import repro.core._
-import repro.meta.{PartitionMeta, Scalar}
+import repro.meta.Scalar
 
 /** Deterministic single-process executor implementing the paper's pruning
   * flow (§7): filter pruning → join pruning → LIMIT pruning → top-k pruning,
@@ -63,7 +63,7 @@ object SimExecutor {
 
     // ---- 1. filter pruning (compile time) on the main scan ---------------
     val filtered = FilterPruner.classifyOpt(probe.stats, q.pred)
-    val filterStat = q.pred.map(_ => Ratio(probe.numPartitions, filtered.scanSet.size))
+    val filterStat = q.pred.map(_ => Ratio(probe.numPartitions, filtered.scanCount))
 
     // ---- 2. build side + join pruning ------------------------------------
     var buildScanned = 0
@@ -73,16 +73,18 @@ object SimExecutor {
     var buildFilterStat: Option[Ratio] = None
     var joinKeys: Option[mutable.HashSet[Scalar]] = None
 
-    val afterJoinScanIds: Seq[Int] = q.join match {
-      case None => filtered.scanSet.map(_.id)
+    // Partitions are named by their position in the table, which is also
+    // their index in its stats.
+    val afterJoinScanIds: Array[Int] = q.join match {
+      case None => filtered.scanIndices
       case Some(j) =>
         val build = catalog(j.buildTable)
         buildEligible = build.numPartitions
         val buildFiltered = FilterPruner.classifyOpt(build.stats, j.buildPred)
-        buildFilterStat = j.buildPred.map(_ => Ratio(build.numPartitions, buildFiltered.scanSet.size))
+        buildFilterStat = j.buildPred.map(_ => Ratio(build.numPartitions, buildFiltered.scanCount))
         val keys = mutable.HashSet.empty[Scalar]
-        buildFiltered.scanSet.foreach { m =>
-          val p = build.partition(m.id)
+        buildFiltered.scanIndices.foreach { i =>
+          val p = build.partition(i)
           buildScanned += 1
           p.rows.foreach { row =>
             buildRows += 1
@@ -95,12 +97,12 @@ object SimExecutor {
           // A LEFT OUTER JOIN preserving the probe side never filters probe
           // rows, so join pruning would be unsound — skip it (§6.2: never
           // prune a partition that must not be pruned).
-          filtered.scanSet.map(_.id)
+          filtered.scanIndices
         } else {
           val summary = JoinPruner.summarize(keys, config.summaryRanges)
-          val res = JoinPruner.pruneProbe(filtered.scanSet, j.probeKey, summary)
-          joinStat = Some(Ratio(filtered.scanSet.size, res.scanSet.size))
-          res.scanSet.map(_.id)
+          val kept = JoinPruner.pruneProbe(probe.stats, filtered.scanIndices, j.probeKey, summary)
+          joinStat = Some(Ratio(filtered.scanCount, kept.length))
+          kept
         }
     }
 
@@ -117,7 +119,7 @@ object SimExecutor {
     if (q.isTopK && q.topKSupported && q.groupBy.isEmpty) {
       // Figure 7a/7b: TopK directly over the (possibly joined) scan.
       val ob = q.orderBy.get
-      val scanData = afterJoinScanIds.map(probe.partition(_))
+      val scanData = afterJoinScanIds.toSeq.map(probe.partition)
       // §5.4 init requires that fully-matching rows actually qualify; a join
       // can reject them, so upfront init is only sound without a join.
       val upfront = config.topkUpfrontInit && q.join.isEmpty
@@ -142,10 +144,9 @@ object SimExecutor {
         q.join.forall(_.leftOuterProbeSide)
       val lim = LimitPruner.prune(filtered, q.limit.get, shapeOk)
       val limitScanIds =
-        if (shapeOk && lim.outcome.isInstanceOf[LimitPruner.LimitOutcome.Pruned])
-          lim.scanSet.map(_.id)
+        if (shapeOk && lim.outcome.isInstanceOf[LimitPruner.LimitOutcome.Pruned]) lim.scanIndices
         else afterJoinScanIds
-      val limStat = Ratio(afterJoinScanIds.size, limitScanIds.size)
+      val limStat = Ratio(afterJoinScanIds.length, limitScanIds.length)
       // Execute with early halt once k qualifying rows are found.
       val k = q.limit.get
       var collected = 0L
@@ -169,7 +170,7 @@ object SimExecutor {
       }
       // Metadata-only mode never walked rows; charge the full pruned scan
       // set so partition-level accounting stays comparable.
-      if (config.metadataOnly) scanned = limitScanIds.size
+      if (config.metadataOnly) scanned = limitScanIds.length
       QueryReport(q, eligible, buildScanned + scanned, buildRows + rowsScanned,
                   filterStat, joinStat, Some((lim.outcome, limStat)), None,
                   collected, out.toSeq, buildFilterStat)
@@ -209,7 +210,7 @@ object SimExecutor {
     * aggregates of surviving groups) and is skipped.
     */
   private def executeGroupByTopK(
-      probe: MemTable, q: QuerySpec, scanIds: Seq[Int],
+      probe: MemTable, q: QuerySpec, scanIds: Array[Int],
       qualifier: PExprEval.RowLookup => Boolean, filtered: FilterPruneResult,
       eligible: Int, buildScanned: Int, buildRows: Long,
       filterStat: Option[Ratio], joinStat: Option[Ratio],
@@ -224,7 +225,7 @@ object SimExecutor {
     // stats-less (all-null key) partitions go last.
     def potential(id: Int): Option[Scalar] =
       probe.partitions(id).meta.col(g).flatMap(s => if (ob.desc) s.max else s.min)
-    val orderedIds = scanIds.sortWith { (x, y) =>
+    val orderedIds = scanIds.toSeq.sortWith { (x, y) =>
       (potential(x), potential(y)) match {
         case (Some(a), Some(b)) => ord.gt(a, b)
         case (Some(_), None)    => true
@@ -267,7 +268,7 @@ object SimExecutor {
     val rows = resultKeys.map(key => IndexedSeq(key, Scalar.LongV(counts(key))))
     QueryReport(q, eligible, buildScanned + scanned, buildRows + rowsScanned,
                 filterStat, joinStat, None,
-                Some(Ratio(scanIds.size, scanned)),
+                Some(Ratio(scanIds.length, scanned)),
                 rows.size.toLong, if (config.materialize) rows else Seq.empty,
                 buildFilterStat)
   }

@@ -16,6 +16,20 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Run `body` with the given SQL confs set, then restore their previous
+    * values (or unset them).
+    */
+  def withSqlConf[T](pairs: (String, String)*)(body: => T): T = {
+    val conf = spark.conf
+    val previous = pairs.map { case (k, _) => k -> conf.getOption(k) }
+    pairs.foreach { case (k, v) => conf.set(k, v) }
+    try body
+    finally previous.foreach {
+      case (k, Some(v)) => conf.set(k, v)
+      case (k, None)    => conf.unset(k)
+    }
+  }
 }
 
 object SparkSpec {
