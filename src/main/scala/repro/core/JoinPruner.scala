@@ -116,18 +116,23 @@ object JoinPruner {
       }
       i += 1
     }
-    if (!allLongs) summarizeScalars(all, maxRanges)
-    else {
-      // Sort, then drop repeats in place.
-      java.util.Arrays.sort(longs)
-      var n = 0
-      i = 0
-      while (i < longs.length) {
-        if (n == 0 || longs(n - 1) != longs(i)) { longs(n) = longs(i); n += 1 }
-        i += 1
-      }
-      fromSorted(n, j => Scalar.LongV(longs(j)), j => longs(j).toDouble - longs(j - 1).toDouble, maxRanges)
+    if (allLongs) fromLongs(longs, maxRanges) else summarizeScalars(all, maxRanges)
+  }
+
+  /** [[summarize]] over unboxed long keys; `keys` is left as it is. */
+  def summarizeLongs(keys: Array[Long], maxRanges: Int = 64): BuildSummary =
+    fromLongs(keys.clone(), maxRanges)
+
+  /** The summary of `longs`, which it sorts and de-duplicates in place. */
+  private def fromLongs(longs: Array[Long], maxRanges: Int): BuildSummary = {
+    java.util.Arrays.sort(longs)
+    var n = 0
+    var i = 0
+    while (i < longs.length) {
+      if (n == 0 || longs(n - 1) != longs(i)) { longs(n) = longs(i); n += 1 }
+      i += 1
     }
+    fromSorted(n, j => Scalar.LongV(longs(j)), j => longs(j).toDouble - longs(j - 1).toDouble, maxRanges)
   }
 
   /** [[summarize]] over boxed values of any type family. */

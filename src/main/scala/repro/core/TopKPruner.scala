@@ -1,15 +1,13 @@
 package repro.core
 
 import scala.collection.mutable
-import repro.meta.{PartitionMeta, Scalar}
+import repro.meta.{ColumnArrays, PartitionMeta, Scalar, TableStats}
 
-/** Data access the top-k pruner needs: metadata plus a row iterator.
-  * Implemented by the in-memory simulator tables and (in tests) by adapters
-  * over collected Spark partitions.
+/** Data access the top-k pruner needs: metadata plus the rows as typed
+  * columns. Implemented by the in-memory simulator tables.
   */
-trait PartitionData {
+trait PartitionData extends Columns {
   def meta: PartitionMeta
-  def rows: Iterator[PExprEval.RowLookup]
 }
 
 /** §5 — runtime pruning for top-k queries.
@@ -69,6 +67,21 @@ object TopKPruner {
     *                   fully-matching partitions for upfront init)
     */
   def run(scanSet: Seq[PartitionData], filtered: FilterPruneResult, q: TopKQuery): TopKResult = {
+    val parts = scanSet.toIndexedSeq
+    run(TableStats.of(parts.map(_.meta)), Array.range(0, parts.size), parts, filtered, q,
+        p => r => q.rowQualifier(p.lookupAt(r)))
+  }
+
+  /** [[run]] over the partitions of `stats` at `indices`, in that order;
+    * `part(i)` gives partition `i`'s rows. `qualifier(p)` says which rows of
+    * a scanned partition `p` qualify beyond `q.pred` (null: every row); it
+    * takes the place of `q.rowQualifier`. The predicate is bound to each
+    * scanned partition's columns once, and a row's order value is compared
+    * with the boundary unboxed; it is boxed only when the row enters the heap.
+    */
+  def run(stats: TableStats, indices: Array[Int], part: Int => PartitionData,
+          filtered: FilterPruneResult, q: TopKQuery,
+          qualifier: PartitionData => (Int => Boolean)): TopKResult = {
     val sign = if (q.desc) 1 else -1
     // Total order on candidate values; within a column all values share a
     // type family, so compare never returns None on real data.
@@ -77,21 +90,9 @@ object TopKPruner {
 
     val ordered = q.strategy match {
       case OrderStrategy.RandomOrder(seed) =>
-        val rnd = new scala.util.Random(seed)
-        rnd.shuffle(scanSet)
+        new scala.util.Random(seed).shuffle(indices.toSeq).toArray
       case OrderStrategy.SortByBoundaryPotential =>
-        // DESC: largest max first; ASC: smallest min first. Partitions with
-        // no stats (all-null order column) go last — they can only matter
-        // when fewer than k non-null rows exist.
-        scanSet.sortWith { (a, b) =>
-          val sa = boundaryPotential(a.meta, q)
-          val sb = boundaryPotential(b.meta, q)
-          (sa, sb) match {
-            case (Some(x), Some(y)) => better(x, y)
-            case (Some(_), None)    => true
-            case _                  => false
-          }
-        }
+        processingOrder(stats, indices, q.orderCol, q.desc)
     }
 
     val initBoundary = if (q.upfrontInit) upfrontBoundary(filtered.fullyMatching, q) else None
@@ -105,63 +106,105 @@ object TopKPruner {
     }
     val heap = mutable.PriorityQueue.empty[HeapRow]
     val nullRows = mutable.ArrayBuffer.empty[HeapRow] // NULLS LAST backfill
-    var boundary: Option[Scalar] = initBoundary
+    var boundary: Scalar = initBoundary.orNull
 
     var scanned = 0
     var skipped = 0
     var rowsScanned = 0L
 
-    for (p <- ordered) {
-      val canSkip = boundary.exists { b =>
+    ordered.foreach { i =>
+      val meta = stats.metas(i)
+      val canSkip = boundary != null && {
         val heapFull = heap.size >= q.k
-        val potential = boundaryPotential(p.meta, q)
         // With an initialized boundary, k qualifying rows at or above the
         // boundary are guaranteed to exist, so the comparison is valid even
         // before the heap fills (§5.4). Without it, only a full heap prunes.
         val active = heapFull || initBoundary.isDefined
-        active && (potential match {
-          case Some(best) => better(b, best) // partition's best is strictly worse
-          case None       => true            // all-null order column
-        })
+        active && !mayReach(meta, q, boundary)
       }
       if (canSkip) skipped += 1
       else {
         scanned += 1
-        var idx = 0
-        p.rows.foreach { row =>
-          rowsScanned += 1
-          val qualifies = q.pred.forall(PExprEval.passes(_, row)) && q.rowQualifier(row)
-          if (qualifies) {
-            row(q.orderCol) match {
-              case Some(v) =>
-                val admit = boundary match {
-                  case Some(b) => !better(b, v) || heap.size < q.k && initBoundary.isEmpty
-                  case None    => true
+        val p = part(i)
+        rowsScanned += p.rowCount
+        val pred = q.pred.map(RowEval.bind(_, p)).orNull
+        val qualifies = if (qualifier == null) null else qualifier(p)
+        val col = p.column(q.orderCol)
+        var r = 0
+        while (r < p.rowCount) {
+          if ((pred == null || pred.passes(r)) && (qualifies == null || qualifies(r))) {
+            if (col == null || col.isNull(r)) {
+              if (nullRows.size < q.k) nullRows += HeapRow(None, meta.id, r)
+            } else {
+              // Not strictly worse than the boundary: compare(v, b) * sign >= 0.
+              val admit = boundary == null || {
+                val c = col.compareAt(r, boundary)
+                c == ColumnVec.NC || c * sign >= 0 || heap.size < q.k && initBoundary.isEmpty
+              }
+              if (admit) {
+                heap.enqueue(HeapRow(Some(col.get(r)), meta.id, r))
+                if (heap.size > q.k) heap.dequeue()
+                if (heap.size >= q.k) {
+                  val heapBoundary = heap.head.orderValue.get
+                  if (boundary == null || !better(boundary, heapBoundary)) boundary = heapBoundary
                 }
-                if (admit) {
-                  heap.enqueue(HeapRow(Some(v), p.meta.id, idx))
-                  if (heap.size > q.k) heap.dequeue()
-                  if (heap.size >= q.k) {
-                    val heapBoundary = heap.head.orderValue.get
-                    boundary = Some(boundary match {
-                      case Some(b) if better(b, heapBoundary) => b
-                      case _                                  => heapBoundary
-                    })
-                  }
-                }
-              case None =>
-                if (nullRows.size < q.k) nullRows += HeapRow(None, p.meta.id, idx)
+              }
             }
           }
-          idx += 1
+          r += 1
         }
       }
     }
 
     val sortedRows = heap.dequeueAll.reverse // best first
     val result = (sortedRows ++ nullRows).take(q.k)
-    TopKResult(result, ordered.size, scanned, skipped, rowsScanned, initBoundary)
+    TopKResult(result, ordered.length, scanned, skipped, rowsScanned, initBoundary)
   }
+
+  /** §5.3 processing order of the partitions of `stats` at `indices`: best
+    * boundary potential first (largest max for DESC, smallest min for ASC),
+    * then the partitions without a range on `orderCol` (all NULL, empty or
+    * lacking the column). A stable index sort over the column's zone-map
+    * arrays: ties keep their order in `indices`.
+    */
+  def processingOrder(stats: TableStats, indices: Array[Int], orderCol: String, desc: Boolean): Array[Int] = {
+    val col = stats.column(orderCol)
+    val sign = if (desc) 1 else -1
+    // Negative when partition i's potential is strictly better than j's.
+    val cmp: (Int, Int) => Int = col match {
+      case c: ColumnArrays.Longs =>
+        val k = if (desc) c.max else c.min
+        (i, j) => -sign * java.lang.Long.compare(k(i), k(j))
+      case c: ColumnArrays.Doubles =>
+        val k = if (desc) c.max else c.min
+        (i, j) => -sign * Scalar.compareDoubles(k(i), k(j))
+      case c: ColumnArrays.Strings =>
+        val k = if (desc) c.max else c.min
+        (i, j) => -sign * Integer.signum(k(i).compareTo(k(j)))
+      case c: ColumnArrays.Bools =>
+        val k = if (desc) c.max else c.min
+        (i, j) => -sign * java.lang.Boolean.compare(k(i), k(j))
+      case c: ColumnArrays.Scalars =>
+        // Incomparable families tie, as in a sort by `better`.
+        val k = if (desc) c.max else c.min
+        def better(a: Scalar, b: Scalar) = Scalar.compare(a, b).exists(_ * sign > 0)
+        (i, j) => if (better(k(i), k(j))) -1 else if (better(k(j), k(i))) 1 else 0
+    }
+    val order: Array[Integer] = indices.map(Integer.valueOf)
+    // TimSort is stable.
+    java.util.Arrays.sort(order, (x: Integer, y: Integer) => {
+      val rx = col.state(x) == ColumnArrays.Ranged
+      val ry = col.state(y) == ColumnArrays.Ranged
+      if (rx && ry) cmp(x, y) else if (rx) -1 else if (ry) 1 else 0
+    })
+    order.map(_.intValue)
+  }
+
+  /** May partition `meta` hold a row not strictly worse than `boundary`?
+    * Not if its best value is strictly worse, or its order column is all NULL.
+    */
+  def mayReach(meta: PartitionMeta, q: TopKQuery, boundary: Scalar): Boolean =
+    boundaryPotential(meta, q).exists(best => !Scalar.compare(boundary, best).exists(c => if (q.desc) c > 0 else c < 0))
 
   /** The best value this partition could contribute: max for DESC, min for ASC. */
   private def boundaryPotential(meta: PartitionMeta, q: TopKQuery): Option[Scalar] =

@@ -186,29 +186,16 @@ final class MptScanBuilder(dir: String, manifest: MptManifest)
       case None => (scan, BoundaryRegistry.newScanId())
       case Some(plan) =>
         stats.topKPushed = true
-        val orderIdx = manifest.schema.fieldIndex(plan.orderCol)
-        def bestOf(i: Int): Option[Scalar] = {
-          val s = manifest.partitions(i).stats(orderIdx)
-          if (plan.desc) s.max else s.min
-        }
         val q = TopKPruner.TopKQuery(plan.orderCol, plan.k, plan.desc)
         val init = TopKPruner.upfrontBoundary(fully.toSeq.map(manifest.stats.metas), q)
-        val strictlyBetter = (a: Scalar, b: Scalar) =>
-          Scalar.compare(a, b).exists(c => if (plan.desc) c > 0 else c < 0)
         // §5.4 static pruning: below the upfront boundary nothing can qualify.
         val statically = init match {
           case None    => scan
-          case Some(b) => scan.filter(i => !bestOf(i).forall(v => strictlyBetter(b, v)))
+          case Some(b) => scan.filter(i => TopKPruner.mayReach(manifest.stats.metas(i), q, b))
         }
         // §5.3 processing order: best boundary potential first; all-null last.
-        val ordered = statically.toSeq.sortWith { (x, y) =>
-          (bestOf(x), bestOf(y)) match {
-            case (Some(a), Some(b)) => strictlyBetter(a, b)
-            case (Some(_), None)    => true
-            case _                  => false
-          }
-        }
-        (ordered.toArray, BoundaryRegistry.create(plan.k, plan.desc, init))
+        val ordered = TopKPruner.processingOrder(manifest.stats, statically, plan.orderCol, plan.desc)
+        (ordered, BoundaryRegistry.create(plan.k, plan.desc, init))
     }
     stats.afterTopKStatic = ordered.length
     ScanMetrics.register(scanId, stats)

@@ -3,46 +3,39 @@ package repro.sim
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
 
-import repro.core.{PartitionData, PExprEval}
+import repro.core.{ColumnVec, PartitionData, PExprEval}
 import repro.meta._
 
-/** One in-memory micro-partition: a row-major array of [[Scalar]] values
-  * (null = SQL NULL) plus derived zone-map metadata.
+/** One in-memory micro-partition: one typed column per schema field (see
+  * [[ColumnVec]]) plus derived zone-map metadata.
   *
   * This is the simulator's stand-in for a Snowflake micro-partition on
   * object storage: the pruners only ever see [[meta]]; row access models
-  * "loading the partition".
+  * "loading the partition". `data`, `lookupAt` and `rows` are boxed row
+  * views over the columns.
   */
 final class MemPartition(val id: Int, val schema: IndexedSeq[String],
-                         val data: Array[Array[Scalar]]) extends PartitionData {
+                         columns: IndexedSeq[ColumnVec], val rowCount: Int) extends PartitionData {
   private val colIdx: Map[String, Int] = schema.zipWithIndex.toMap
 
-  lazy val meta: PartitionMeta = {
-    val stats = schema.zipWithIndex.map { case (name, i) =>
-      var nulls = 0L
-      var lo: Option[Scalar] = None
-      var hi: Option[Scalar] = None
-      var r = 0
-      while (r < data.length) {
-        val v = data(r)(i)
-        if (v == null) nulls += 1
-        else {
-          lo = lo.flatMap(Scalar.min(_, v)).orElse(Some(v))
-          hi = hi.flatMap(Scalar.max(_, v)).orElse(Some(v))
-        }
-        r += 1
-      }
-      name -> ColumnStats(lo, hi, nulls)
-    }.toMap
-    PartitionMeta(id, data.length.toLong, stats)
+  lazy val meta: PartitionMeta =
+    PartitionMeta(id, rowCount.toLong, schema.indices.map(i => schema(i) -> columns(i).stats(rowCount)).toMap)
+
+  def column(name: String): ColumnVec = colIdx.get(name) match {
+    case Some(i) => columns(i)
+    case None    => null
   }
 
-  def lookupAt(r: Int): PExprEval.RowLookup =
-    name => colIdx.get(name).flatMap(i => Option(data(r)(i)))
+  /** Row `r` as an array in schema order (null = SQL NULL). */
+  def data(r: Int): Array[Scalar] = Array.tabulate(columns.size)(columns(_).get(r))
 
-  def rows: Iterator[PExprEval.RowLookup] = data.indices.iterator.map(lookupAt)
+  def rows: Iterator[PExprEval.RowLookup] = Iterator.range(0, rowCount).map(lookupAt)
+}
 
-  def rowCount: Int = data.length
+object MemPartition {
+  /** The partition holding `rows`, each an array in schema order. */
+  def of(id: Int, schema: IndexedSeq[String], rows: Array[Array[Scalar]]): MemPartition =
+    new MemPartition(id, schema, schema.indices.map(i => ColumnVec.of(rows.map(_(i)))), rows.length)
 }
 
 /** An in-memory micro-partitioned table. */
@@ -65,7 +58,7 @@ final class MemTable(val name: String, val schema: IndexedSeq[String],
     * types are inferred from the first non-null value per column.
     */
   def toDF(spark: SparkSession): DataFrame = {
-    val allRows = partitions.flatMap(_.data)
+    val allRows = partitions.flatMap(p => Iterator.range(0, p.rowCount).map(p.data))
     val types: IndexedSeq[DataType] = schema.indices.map { i =>
       allRows.iterator.map(_(i)).collectFirst {
         case Scalar.LongV(_)   => LongType
@@ -134,7 +127,7 @@ object MemTable {
     val n = math.max(1, numPartitions)
     val per = math.max(1, (arranged.size + n - 1) / n)
     val parts = arranged.grouped(per).zipWithIndex.map { case (chunk, i) =>
-      new MemPartition(i, schema, chunk.map(identity).toArray)
+      MemPartition.of(i, schema, chunk.toArray)
     }.toVector
     new MemTable(name, schema, parts)
   }

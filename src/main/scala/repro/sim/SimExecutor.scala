@@ -71,7 +71,7 @@ object SimExecutor {
     var buildEligible = 0
     var joinStat: Option[Ratio] = None
     var buildFilterStat: Option[Ratio] = None
-    var joinKeys: Option[mutable.HashSet[Scalar]] = None
+    var joinKeys: JoinKeys = null
 
     // Partitions are named by their position in the table, which is also
     // their index in its stats.
@@ -82,36 +82,32 @@ object SimExecutor {
         buildEligible = build.numPartitions
         val buildFiltered = FilterPruner.classifyOpt(build.stats, j.buildPred)
         buildFilterStat = j.buildPred.map(_ => Ratio(build.numPartitions, buildFiltered.scanCount))
-        val keys = mutable.HashSet.empty[Scalar]
+        val keys = new JoinKeys
         buildFiltered.scanIndices.foreach { i =>
           val p = build.partition(i)
           buildScanned += 1
-          p.rows.foreach { row =>
-            buildRows += 1
-            if (j.buildPred.forall(PExprEval.passes(_, row)))
-              row(j.buildKey).foreach(keys += _)
-          }
+          buildRows += p.rowCount
+          keys.addAll(p.column(j.buildKey), p.rowCount, rowFilter(p, j.buildPred, null))
         }
-        joinKeys = Some(keys)
+        joinKeys = keys
         if (j.leftOuterProbeSide) {
           // A LEFT OUTER JOIN preserving the probe side never filters probe
           // rows, so join pruning would be unsound — skip it (§6.2: never
           // prune a partition that must not be pruned).
           filtered.scanIndices
         } else {
-          val summary = JoinPruner.summarize(keys, config.summaryRanges)
+          val summary = keys.summary(config.summaryRanges)
           val kept = JoinPruner.pruneProbe(probe.stats, filtered.scanIndices, j.probeKey, summary)
           joinStat = Some(Ratio(filtered.scanCount, kept.length))
           kept
         }
     }
 
-    val probeQualifier: PExprEval.RowLookup => Boolean = (joinKeys, q.join) match {
-      case (Some(_), Some(j)) if j.leftOuterProbeSide => _ => true // probe rows always survive
-      case (Some(keys), Some(j)) =>
-        row => row(j.probeKey).exists(keys.contains)
-      case _ => _ => true
-    }
+    // Join-probe membership of a partition's rows; none when every probe
+    // row survives the join.
+    val probeKey = q.join.collect { case j if !j.leftOuterProbeSide => j.probeKey }
+    val probeQualifier: PartitionData => (Int => Boolean) =
+      probeKey.map(key => (p: PartitionData) => joinKeys.matcher(p.column(key))).orNull
 
     val eligible = probe.numPartitions + buildEligible
 
@@ -119,19 +115,19 @@ object SimExecutor {
     if (q.isTopK && q.topKSupported && q.groupBy.isEmpty) {
       // Figure 7a/7b: TopK directly over the (possibly joined) scan.
       val ob = q.orderBy.get
-      val scanData = afterJoinScanIds.toSeq.map(probe.partition)
       // §5.4 init requires that fully-matching rows actually qualify; a join
       // can reject them, so upfront init is only sound without a join.
       val upfront = config.topkUpfrontInit && q.join.isEmpty
       val tq = TopKPruner.TopKQuery(ob.col, q.limit.get.toInt, ob.desc, q.pred,
-                                    probeQualifier, config.topkStrategy, upfront)
-      val res = TopKPruner.run(scanData, filtered, tq)
-      val rows = res.rows.map(h => probe.partition(h.partitionId).data(h.rowIndex).toIndexedSeq)
+                                    strategy = config.topkStrategy, upfrontInit = upfront)
+      val res = TopKPruner.run(probe.stats, afterJoinScanIds, probe.partition, filtered, tq, probeQualifier)
+      val rows =
+        if (config.materialize) res.rows.map(h => probe.partition(h.partitionId).data(h.rowIndex).toIndexedSeq)
+        else Seq.empty
       QueryReport(q, eligible, buildScanned + res.partitionsScanned,
                   buildRows + res.rowsScanned, filterStat, joinStat, None,
                   Some(Ratio(res.partitionsTotal, res.partitionsScanned)),
-                  rows.size.toLong, if (config.materialize) rows else Seq.empty,
-                  buildFilterStat)
+                  res.rows.size.toLong, rows, buildFilterStat)
     } else if (q.isTopK && q.topKSupported && q.groupBy.isDefined) {
       executeGroupByTopK(probe, q, afterJoinScanIds, probeQualifier, filtered,
                          eligible, buildScanned, buildRows, filterStat, joinStat,
@@ -157,11 +153,11 @@ object SimExecutor {
       while (collected < k && it.hasNext) {
         val p = probe.partition(it.next())
         scanned += 1
+        val pass = rowFilter(p, q.pred, probeQualifier)
         var r = 0
         while (collected < k && r < p.rowCount) {
           rowsScanned += 1
-          val row = p.lookupAt(r)
-          if (q.pred.forall(PExprEval.passes(_, row)) && probeQualifier(row)) {
+          if (pass(r)) {
             collected += 1
             if (config.materialize) out += p.data(r).toIndexedSeq
           }
@@ -184,15 +180,17 @@ object SimExecutor {
       afterJoinScanIds.foreach { id =>
         val p = probe.partition(id)
         scanned += 1
-        var r = if (config.metadataOnly) p.rowCount else 0
-        while (r < p.rowCount) {
-          rowsScanned += 1
-          val row = p.lookupAt(r)
-          if (q.pred.forall(PExprEval.passes(_, row)) && probeQualifier(row)) {
-            count += 1
-            if (config.materialize) out += p.data(r).toIndexedSeq
+        if (!config.metadataOnly) {
+          val pass = rowFilter(p, q.pred, probeQualifier)
+          rowsScanned += p.rowCount
+          var r = 0
+          while (r < p.rowCount) {
+            if (pass(r)) {
+              count += 1
+              if (config.materialize) out += p.data(r).toIndexedSeq
+            }
+            r += 1
           }
-          r += 1
         }
       }
       // Unsupported top-k / limit still truncates the *result* (not the scan).
@@ -200,6 +198,97 @@ object SimExecutor {
       QueryReport(q, eligible, buildScanned + scanned, buildRows + rowsScanned,
                   filterStat, joinStat, None, None, resultCount, out.toSeq,
                   buildFilterStat)
+    }
+  }
+
+  /** Does row `r` of `p` qualify: pass `pred`, bound to the partition's
+    * columns once, and the join (`joined`, null for none)?
+    */
+  private def rowFilter(p: MemPartition, pred: Option[PExpr],
+                        joined: PartitionData => (Int => Boolean)): Int => Boolean = {
+    val bound = pred.map(RowEval.bind(_, p)).orNull
+    val join = if (joined == null) null else joined(p)
+    if (bound == null && join == null) _ => true
+    else if (join == null) bound.passes
+    else if (bound == null) join
+    else r => bound.passes(r) && join(r)
+  }
+
+  /** The build side's join keys: longs unboxed, keys of other families
+    * boxed. Membership follows `Scalar` equality, as a set of boxed keys
+    * would.
+    */
+  private final class JoinKeys {
+    private val longBuilder = new mutable.ArrayBuilder.ofLong
+    private val others = mutable.ArrayBuffer.empty[Scalar]
+    private lazy val longs: Array[Long] = longBuilder.result()
+    private lazy val sortedLongs: Array[Long] = { java.util.Arrays.sort(longs); longs }
+    private lazy val otherSet: mutable.HashSet[Scalar] = mutable.HashSet.from(others)
+
+    /** The non-null keys of column `c` (null: absent) in the rows that pass. */
+    def addAll(c: ColumnVec, rowCount: Int, pass: Int => Boolean): Unit = c match {
+      case null =>
+      case c: ColumnVec.Longs =>
+        var r = 0
+        while (r < rowCount) {
+          if (!c.isNull(r) && pass(r)) longBuilder += c.values(r)
+          r += 1
+        }
+      case c =>
+        var r = 0
+        while (r < rowCount) {
+          if (!c.isNull(r) && pass(r)) c.get(r) match {
+            case Scalar.LongV(v) => longBuilder += v
+            case s               => others += s
+          }
+          r += 1
+        }
+    }
+
+    def summary(maxRanges: Int): JoinPruner.BuildSummary =
+      if (others.isEmpty) JoinPruner.summarizeLongs(longs, maxRanges)
+      else JoinPruner.summarize(longs.iterator.map(Scalar.LongV(_)) ++ others, maxRanges)
+
+    /** Does row `r` of probe column `c` (null: absent) hold a key? */
+    def matcher(c: ColumnVec): Int => Boolean = c match {
+      case null => _ => false
+      case c: ColumnVec.Longs =>
+        val keys = sortedLongs
+        r => !c.isNull(r) && java.util.Arrays.binarySearch(keys, c.values(r)) >= 0
+      case c =>
+        r => c.get(r) match {
+          case null            => false
+          case Scalar.LongV(v) => java.util.Arrays.binarySearch(sortedLongs, v) >= 0
+          case s               => otherSet.contains(s)
+        }
+    }
+  }
+
+  /** Row counts per group key, long keys unboxed. */
+  private final class GroupCounts {
+    private final class Count(var n: Long)
+    private val longs = mutable.LongMap.empty[Count]
+    private val others = mutable.HashMap.empty[Scalar, Count]
+
+    /** Count one row of key `v`; true if `v` is new. */
+    def addLong(v: Long): Boolean = longs.getOrNull(v) match {
+      case null => longs.update(v, new Count(1)); true
+      case c    => c.n += 1; false
+    }
+
+    /** Count one row of key `s`; true if `s` is new. */
+    def add(s: Scalar): Boolean = s match {
+      case Scalar.LongV(v) => addLong(v)
+      case _ =>
+        others.get(s) match {
+          case Some(c) => c.n += 1; false
+          case None    => others.update(s, new Count(1)); true
+        }
+    }
+
+    def apply(s: Scalar): Long = s match {
+      case Scalar.LongV(v) => longs(v).n
+      case _               => others(s).n
     }
   }
 
@@ -211,7 +300,7 @@ object SimExecutor {
     */
   private def executeGroupByTopK(
       probe: MemTable, q: QuerySpec, scanIds: Array[Int],
-      qualifier: PExprEval.RowLookup => Boolean, filtered: FilterPruneResult,
+      qualifier: PartitionData => (Int => Boolean), filtered: FilterPruneResult,
       eligible: Int, buildScanned: Int, buildRows: Long,
       filterStat: Option[Ratio], joinStat: Option[Ratio],
       buildFilterStat: Option[Ratio], config: SimConfig): QueryReport = {
@@ -223,18 +312,18 @@ object SimExecutor {
 
     // Process partitions best-potential-first (§5.3 applies unchanged);
     // stats-less (all-null key) partitions go last.
-    def potential(id: Int): Option[Scalar] =
-      probe.partitions(id).meta.col(g).flatMap(s => if (ob.desc) s.max else s.min)
-    val orderedIds = scanIds.toSeq.sortWith { (x, y) =>
-      (potential(x), potential(y)) match {
-        case (Some(a), Some(b)) => ord.gt(a, b)
-        case (Some(_), None)    => true
-        case _                  => false
-      }
-    }
+    val orderedIds = TopKPruner.processingOrder(probe.stats, scanIds, g, ob.desc)
 
     val keys = mutable.TreeSet.empty[Scalar](ord) // ascending in "goodness"
-    val counts = mutable.HashMap.empty[Scalar, Long]
+    // counts keeps every seen key: an evicted key could re-enter later
+    // (boundary ties) and must not lose earlier rows.
+    val counts = new GroupCounts
+    // A key enters the top-k set when first seen: inserting a key seen
+    // before cannot change the k best distinct keys.
+    def firstSeen(key: Scalar): Unit = {
+      keys += key
+      if (keys.size > k) keys -= keys.head
+    }
     var scanned = 0
     var skipped = 0
     var rowsScanned = 0L
@@ -247,29 +336,32 @@ object SimExecutor {
       if (skip) skipped += 1
       else {
         scanned += 1
-        var r = 0
-        while (r < p.rowCount) {
-          rowsScanned += 1
-          val row = p.lookupAt(r)
-          if (q.pred.forall(PExprEval.passes(_, row)) && qualifier(row)) {
-            row(g).foreach { key =>
-              // counts keeps every seen key: an evicted key could re-enter
-              // later (boundary ties) and must not lose earlier rows.
-              counts.updateWith(key) { c => Some(c.getOrElse(0L) + 1L) }
-              keys += key
-              if (keys.size > k) keys -= keys.head
+        rowsScanned += p.rowCount
+        val pass = rowFilter(p, q.pred, qualifier)
+        p.column(g) match {
+          case null =>
+          case c: ColumnVec.Longs =>
+            var r = 0
+            while (r < p.rowCount) {
+              if (!c.isNull(r) && pass(r) && counts.addLong(c.values(r))) firstSeen(Scalar.LongV(c.values(r)))
+              r += 1
             }
-          }
-          r += 1
+          case c =>
+            var r = 0
+            while (r < p.rowCount) {
+              if (!c.isNull(r) && pass(r) && counts.add(c.get(r))) firstSeen(c.get(r))
+              r += 1
+            }
         }
       }
     }
     val resultKeys = keys.toSeq.reverse // best first
-    val rows = resultKeys.map(key => IndexedSeq(key, Scalar.LongV(counts(key))))
+    val rows =
+      if (config.materialize) resultKeys.map(key => IndexedSeq(key, Scalar.LongV(counts(key))))
+      else Seq.empty
     QueryReport(q, eligible, buildScanned + scanned, buildRows + rowsScanned,
                 filterStat, joinStat, None,
                 Some(Ratio(scanIds.length, scanned)),
-                rows.size.toLong, if (config.materialize) rows else Seq.empty,
-                buildFilterStat)
+                resultKeys.size.toLong, rows, buildFilterStat)
   }
 }

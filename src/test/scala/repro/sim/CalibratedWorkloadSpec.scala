@@ -36,4 +36,15 @@ class CalibratedWorkloadSpec extends AnyFunSuite {
     val ratio = WorkloadStats.overallPartitionRatio(reports)
     assert(ratio == 0.9449829833434655)
   }
+
+  test("calibrated workload: per-query report digest") {
+    // Folds every query's (eligible, scanned, rows scanned, result count), in
+    // query order, so that one query moving any of them changes the value.
+    val digest = queries.foldLeft(17L) { (h, q) =>
+      val r = SimExecutor.execute(catalog, q.spec, SimExecutor.SimConfig(metadataOnly = true))
+      Seq(r.partitionsEligible.toLong, r.partitionsScanned.toLong, r.rowsScanned, r.resultCount)
+        .foldLeft(h)((acc, x) => acc * 1000003L + x)
+    }
+    assert(digest == -4611749434557625048L)
+  }
 }
