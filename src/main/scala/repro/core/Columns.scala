@@ -31,7 +31,7 @@ sealed abstract class ColumnVec {
     */
   def compareAt(r: Int, s: Scalar): Int
   /** `Scalar.compare(get(i), get(j))` of two non-NULL rows, as [[compareAt]]. */
-  protected def compareRows(i: Int, j: Int): Int
+  def compareRows(i: Int, j: Int): Int
 
   /** The zone map of this column: min, max and null count. A tie (±0.0,
     * NaNs) keeps the first value seen, and an incomparable value restarts
@@ -71,7 +71,7 @@ object ColumnVec {
       case DoubleV(y) => java.lang.Double.compare(values(r).toDouble, nd(y))
       case _          => NC
     }
-    protected def compareRows(i: Int, j: Int): Int = java.lang.Long.compare(values(i), values(j))
+    def compareRows(i: Int, j: Int): Int = java.lang.Long.compare(values(i), values(j))
   }
 
   /** Dates as days since the epoch. */
@@ -82,7 +82,7 @@ object ColumnVec {
       case DateV(y) => Integer.compare(days(r), y)
       case _        => NC
     }
-    protected def compareRows(i: Int, j: Int): Int = Integer.compare(days(i), days(j))
+    def compareRows(i: Int, j: Int): Int = Integer.compare(days(i), days(j))
   }
 
   final class Doubles(val values: Array[Double], val nulls: Array[Boolean]) extends ColumnVec {
@@ -93,17 +93,17 @@ object ColumnVec {
       case LongV(y)   => java.lang.Double.compare(nd(values(r)), y.toDouble)
       case _          => NC
     }
-    protected def compareRows(i: Int, j: Int): Int = Scalar.compareDoubles(values(i), values(j))
+    def compareRows(i: Int, j: Int): Int = Scalar.compareDoubles(values(i), values(j))
   }
 
   final class Strings(val values: Array[String]) extends ColumnVec {
     def isNull(r: Int): Boolean = values(r) == null
     def get(r: Int): Scalar = if (isNull(r)) null else StringV(values(r))
     def compareAt(r: Int, s: Scalar): Int = s match {
-      case StringV(y) => Integer.signum(values(r).compareTo(y))
+      case StringV(y) => Integer.signum(Scalar.compareStrings(values(r), y))
       case _          => NC
     }
-    protected def compareRows(i: Int, j: Int): Int = Integer.signum(values(i).compareTo(values(j)))
+    def compareRows(i: Int, j: Int): Int = Integer.signum(Scalar.compareStrings(values(i), values(j)))
   }
 
   final class Bools(val values: Array[Boolean], val nulls: Array[Boolean]) extends ColumnVec {
@@ -113,7 +113,7 @@ object ColumnVec {
       case BoolV(y) => java.lang.Boolean.compare(values(r), y)
       case _        => NC
     }
-    protected def compareRows(i: Int, j: Int): Int = java.lang.Boolean.compare(values(i), values(j))
+    def compareRows(i: Int, j: Int): Int = java.lang.Boolean.compare(values(i), values(j))
   }
 
   /** Values of mixed families, or only NULLs. */
@@ -124,7 +124,7 @@ object ColumnVec {
       case Some(c) => Integer.signum(c)
       case None    => NC
     }
-    protected def compareRows(i: Int, j: Int): Int = compareAt(i, values(j))
+    def compareRows(i: Int, j: Int): Int = compareAt(i, values(j))
   }
 
   /** The narrowest column holding `values` (null = SQL NULL). */

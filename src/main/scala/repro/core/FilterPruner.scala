@@ -99,21 +99,21 @@ object FilterPruner {
   def classify(stats: TableStats, pred: PExpr): FilterPruneResult =
     classifyAt(stats, pred, Array.range(0, stats.rowCount.length))
 
-  /** Classify only the partitions of `stats` at `indices`, in that order. */
+  /** Classify only the partitions of `stats` at `indices`, in that order.
+    * The predicate is evaluated over all of them in one batch, whose outcome
+    * bytes become the class bytes in place.
+    */
   def classifyAt(stats: TableStats, pred: PExpr, indices: Array[Int]): FilterPruneResult = {
-    val bound = RangeEval.bind(pred, stats)
     val classes = new Array[Byte](indices.length)
+    RangeEval.bind(pred, stats).outcomesAt(indices, classes)
+    val rows = stats.rowCount
     var j = 0
     while (j < indices.length) {
-      val i = indices(j)
+      val o = classes(j)
       classes(j) =
-        if (stats.rowCount(i) == 0) Not
-        else {
-          val o = bound.outcomes(i)
-          if ((o & RangeEval.T) == 0) Not
-          else if (o == RangeEval.T) Fully
-          else Partial
-        }
+        if (rows(indices(j)) == 0 || (o & RangeEval.T) == 0) Not
+        else if (o == RangeEval.T) Fully
+        else Partial
       j += 1
     }
     FilterPruneResult.of(stats, indices, classes)

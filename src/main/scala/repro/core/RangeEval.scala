@@ -20,7 +20,10 @@ import PExpr._
   * binding resolves every column to its arrays and does all work that does
   * not depend on the partition (literal ranges, LIKE widening, prefix upper
   * bounds, IN-list sorting). The bound form then evaluates partition `i`
-  * without maps, boxing or allocation.
+  * without maps, boxing or allocation, or a column of partitions in one
+  * call ([[RangeEval.Bound.outcomesAt]]): each node evaluates its whole
+  * batch before its parent combines the results, and a column compared with
+  * a literal of its family is a typed loop over the zone-map arrays.
   *
   * Soundness contract (property-tested): if some row of the partition
   * evaluates the predicate to outcome o, then o is in the computed set.
@@ -63,6 +66,8 @@ object RangeEval {
   final class Bound private[RangeEval] (root: Pred, rowCount: Array[Long]) {
     /** Possible outcomes on partition `i`: a set of [[T]], [[F]] and [[N]]. */
     def outcomes(i: Int): Int = root.eval(i)
+    /** `out(j) = outcomes(indices(j))` for every `j` of `indices`. */
+    def outcomesAt(indices: Array[Int], out: Array[Byte]): Unit = root.evalAt(indices, out)
     /** May partition `i` contain a matching row? (pass 1 of §4.2) */
     def mayMatch(i: Int): Boolean = rowCount(i) > 0 && (root.eval(i) & T) != 0
   }
@@ -99,6 +104,20 @@ object RangeEval {
     }
   private val andTable = lift((x, y) => if (x == F || y == F) F else if (x == T && y == T) T else N)
   private val orTable  = lift((x, y) => if (x == T || y == T) T else if (x == F && y == F) F else N)
+
+  // ---- one-input maps over outcome sets --------------------------------------
+
+  /** Swap TRUE and FALSE, keep NULL. */
+  @inline private def not(o: Int): Int = ((o & T) << 1) | ((o & F) >> 1) | (o & N)
+
+  private val notTable = Array.tabulate(8)(not)
+  private val isNotTrueTable =
+    Array.tabulate(8)(o => (if ((o & (F | N)) != 0) T else 0) | (if ((o & T) != 0) F else 0))
+  /** Imprecise rewrite (§3.1): original ⇒ widened. If the widened form cannot
+    * be TRUE, neither can the original; a TRUE widened outcome only tells us
+    * the original may be TRUE or FALSE.
+    */
+  private val widenedTable = Array.tabulate(8)(o => if ((o & T) != 0) o | F else o)
 
   // ---- scalar registers ------------------------------------------------------
 
@@ -150,7 +169,7 @@ object RangeEval {
     else if ((a.fam == FL || a.fam == FD) && (b.fam == FL || b.fam == FD))
       java.lang.Double.compare(nd(a.asDouble), nd(b.asDouble))
     else if (a.fam != b.fam || a.fam == FN) NC
-    else if (a.fam == FS) Integer.signum(a.s.compareTo(b.s))
+    else if (a.fam == FS) Integer.signum(Scalar.compareStrings(a.s, b.s))
     else java.lang.Long.compare(a.l, b.l)
 
   // ---- bound value expressions ---------------------------------------------
@@ -343,27 +362,42 @@ object RangeEval {
   // ---- bound predicates ------------------------------------------------------
 
   /** A predicate; `eval(i)` is its outcome set on partition `i`. */
-  private abstract class Pred { def eval(i: Int): Int }
+  private abstract class Pred {
+    def eval(i: Int): Int
+    /** `out(j) = eval(indices(j))` for every `j` of `indices`. */
+    def evalAt(indices: Array[Int], out: Array[Byte]): Unit = {
+      var j = 0
+      while (j < indices.length) { out(j) = eval(indices(j)).toByte; j += 1 }
+    }
+  }
 
   private final class ConstPred(o: Int) extends Pred { def eval(i: Int): Int = o }
 
   @inline private def withNull(o: Int, mayBeNull: Boolean): Int = if (mayBeNull) o | N else o
-  /** Swap TRUE and FALSE, keep NULL. */
-  @inline private def not(o: Int): Int = ((o & T) << 1) | ((o & F) >> 1) | (o & N)
 
-  private final class AndPred(l: Pred, r: Pred) extends Pred {
-    def eval(i: Int): Int = andTable((l.eval(i) << 3) | r.eval(i))
+  /** AND or OR: `table` is [[andTable]] or [[orTable]]. A batch evaluates
+    * `l` into the output and `r` into this node's own buffer.
+    */
+  private final class KleenePred(l: Pred, r: Pred, table: Array[Int]) extends Pred {
+    private var scratch = Array.emptyByteArray
+    def eval(i: Int): Int = table((l.eval(i) << 3) | r.eval(i))
+    override def evalAt(indices: Array[Int], out: Array[Byte]): Unit = {
+      if (scratch.length < indices.length) scratch = new Array[Byte](indices.length)
+      val rs = scratch
+      l.evalAt(indices, out)
+      r.evalAt(indices, rs)
+      var j = 0
+      while (j < indices.length) { out(j) = table((out(j) << 3) | rs(j)).toByte; j += 1 }
+    }
   }
-  private final class OrPred(l: Pred, r: Pred) extends Pred {
-    def eval(i: Int): Int = orTable((l.eval(i) << 3) | r.eval(i))
-  }
-  private final class NotPred(x: Pred) extends Pred {
-    def eval(i: Int): Int = not(x.eval(i))
-  }
-  private final class IsNotTruePred(x: Pred) extends Pred {
-    def eval(i: Int): Int = {
-      val o = x.eval(i)
-      (if ((o & (F | N)) != 0) T else 0) | (if ((o & T) != 0) F else 0)
+
+  /** `table(x)`: NOT, IS NOT TRUE or a widened rewrite of `x`. */
+  private final class MappedPred(x: Pred, table: Array[Int]) extends Pred {
+    def eval(i: Int): Int = table(x.eval(i))
+    override def evalAt(indices: Array[Int], out: Array[Byte]): Unit = {
+      x.evalAt(indices, out)
+      var j = 0
+      while (j < indices.length) { out(j) = table(out(j)).toByte; j += 1 }
     }
   }
 
@@ -392,6 +426,59 @@ object RangeEval {
                       eq && cmp(a.lo, a.hi) == 0 && cmp(b.lo, b.hi) == 0 && cmp(a.lo, b.lo) == 0)
         withNull(base, a.mayBeNull || b.mayBeNull)
       }
+    }
+  }
+
+  /** [[decide]] for a column range against a literal, indexed by
+    * `3 * sign(cmp(hi, lit)) + sign(cmp(lit, lo)) + 4`: the range is the
+    * literal's point exactly when both signs are 0.
+    */
+  private val cmpTables: Map[CmpOp, Array[Byte]] =
+    Seq(CmpOp.Lt, CmpOp.Lte, CmpOp.Gt, CmpOp.Gte, CmpOp.Eq, CmpOp.Neq).map { op =>
+      op -> Array.tabulate(9)(k => decide(op, k / 3 - 1, k % 3 - 1, k == 4).toByte)
+    }.toMap
+
+  /** [[CmpPred]]'s outcome set for a column against a literal on a partition
+    * in state `st` with `nulls` NULLs in `rows` rows; `ranged` is the outcome
+    * on its range (ignored unless the partition has one).
+    */
+  @inline private def colCmp(st: Byte, nulls: Long, rows: Long, ranged: Int): Int =
+    if (st == ColumnArrays.Absent) TFN
+    else if (nulls == rows) N
+    else withNull(if (st == ColumnArrays.Ranged) ranged else TF, nulls > 0)
+
+  /** `Cmp(op, Col, Lit)` over a long or date column and a literal of its
+    * family (date days widened to long), evaluated on the column's arrays.
+    * The typed leaves repeat [[Pred.evalAt]]'s loop so that `eval` is bound
+    * statically there and inlined; the inherited loop calls it virtually.
+    */
+  private final class LongsCmp(c: ColumnArrays.Longs, rowCount: Array[Long], lit: Long,
+                               table: Array[Byte]) extends Pred {
+    def eval(i: Int): Int = {
+      val st = c.state(i)
+      colCmp(st, c.nullCount(i), rowCount(i),
+             if (st != ColumnArrays.Ranged) 0
+             else table(3 * java.lang.Long.compare(c.max(i), lit) + java.lang.Long.compare(lit, c.min(i)) + 4))
+    }
+    override def evalAt(indices: Array[Int], out: Array[Byte]): Unit = {
+      var j = 0
+      while (j < indices.length) { out(j) = eval(indices(j)).toByte; j += 1 }
+    }
+  }
+
+  /** `Cmp(op, Col, Lit)` over a string column and a string literal. */
+  private final class StringsCmp(c: ColumnArrays.Strings, rowCount: Array[Long], lit: String,
+                                 table: Array[Byte]) extends Pred {
+    def eval(i: Int): Int = {
+      val st = c.state(i)
+      colCmp(st, c.nullCount(i), rowCount(i),
+             if (st != ColumnArrays.Ranged) 0
+             else table(3 * Integer.signum(Scalar.compareStrings(c.max(i), lit)) +
+                        Integer.signum(Scalar.compareStrings(lit, c.min(i))) + 4))
+    }
+    override def evalAt(indices: Array[Int], out: Array[Byte]): Unit = {
+      var j = 0
+      while (j < indices.length) { out(j) = eval(indices(j)).toByte; j += 1 }
     }
   }
 
@@ -437,17 +524,6 @@ object RangeEval {
     }
   }
 
-  /** Imprecise rewrite (§3.1): original ⇒ widened. If the widened form cannot
-    * be TRUE, neither can the original; a TRUE widened outcome only tells us
-    * the original may be TRUE or FALSE.
-    */
-  private final class WidenedPred(w: Pred) extends Pred {
-    def eval(i: Int): Int = {
-      val o = w.eval(i)
-      if ((o & T) != 0) o | F else o
-    }
-  }
-
   private final class StartsWithPred(x: Value, prefix: String) extends Pred {
     private val upper = Rewrites.prefixUpperBound(prefix).orNull
     def eval(i: Int): Int = {
@@ -456,8 +532,8 @@ object RangeEval {
       else if (x.known && x.lo.fam == FS && x.hi.fam == FS) {
         val mn = x.lo.s
         val mx = x.hi.s
-        val below = mx < prefix
-        val above = upper != null && mn >= upper
+        val below = Scalar.compareStrings(mx, prefix) < 0
+        val above = upper != null && Scalar.compareStrings(mn, upper) >= 0
         if (below || above) withNull(F, x.mayBeNull)
         else if (mn.startsWith(prefix) && mx.startsWith(prefix)) withNull(T, x.mayBeNull)
         else withNull(TF, x.mayBeNull)
@@ -493,17 +569,24 @@ object RangeEval {
 
   private def bindPred(e: PExpr, stats: TableStats): Pred = e match {
     case LitBool(b) => new ConstPred(if (b) T else F)
-    case And(l, r)  => new AndPred(bindPred(l, stats), bindPred(r, stats))
-    case Or(l, r)   => new OrPred(bindPred(l, stats), bindPred(r, stats))
-    case Not(x)       => new NotPred(bindPred(x, stats))
-    case IsNotTrue(x) => new IsNotTruePred(bindPred(x, stats))
+    case And(l, r)  => new KleenePred(bindPred(l, stats), bindPred(r, stats), andTable)
+    case Or(l, r)   => new KleenePred(bindPred(l, stats), bindPred(r, stats), orTable)
+    case Not(x)       => new MappedPred(bindPred(x, stats), notTable)
+    case IsNotTrue(x) => new MappedPred(bindPred(x, stats), isNotTrueTable)
+    case Cmp(op, c @ Col(n), l @ Lit(v)) =>
+      (stats.column(n), v) match {
+        case (a: ColumnArrays.Longs, Scalar.LongV(x)) if !a.dates => new LongsCmp(a, stats.rowCount, x, cmpTables(op))
+        case (a: ColumnArrays.Longs, Scalar.DateV(x)) if a.dates  => new LongsCmp(a, stats.rowCount, x.toLong, cmpTables(op))
+        case (a: ColumnArrays.Strings, Scalar.StringV(x))         => new StringsCmp(a, stats.rowCount, x, cmpTables(op))
+        case _ => new CmpPred(op, bindValue(c, stats), bindValue(l, stats))
+      }
     case Cmp(op, l, r) => new CmpPred(op, bindValue(l, stats), bindValue(r, stats))
     case In(_, vs) if vs.isEmpty => new ConstPred(F)
     case In(x, vs) => new InPred(bindValue(x, stats), vs)
     case Like(x, pattern) =>
       Rewrites.widenLike(x, pattern) match {
         case Rewrites.ExactExpr(p) => bindPred(p, stats)
-        case Rewrites.WidenedTo(p) => new WidenedPred(bindPred(p, stats))
+        case Rewrites.WidenedTo(p) => new MappedPred(bindPred(p, stats), widenedTable)
         case Rewrites.NotWidenable => new UndecidedPred(bindValue(x, stats))
       }
     case StartsWith(x, prefix) => new StartsWithPred(bindValue(x, stats), prefix)

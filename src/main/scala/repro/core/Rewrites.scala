@@ -37,12 +37,17 @@ object Rewrites {
     }
   }
 
-  /** Smallest string that is greater than every string starting with
-    * `prefix`, if one exists: increment the last incrementable character.
+  /** A string greater than every string starting with `prefix` in
+    * [[Scalar.compareStrings]]'s order, if one exists: increment the last
+    * incrementable unit and drop what follows. U+DFFF (a low surrogate) is
+    * the greatest unit in that order, and U+FFFF the greatest that is not a
+    * surrogate; neither is incremented, since U+DFFF + 1 = U+E000 sorts below
+    * it. Falling back to an earlier position gives a looser bound, never an
+    * unsound one.
     */
   def prefixUpperBound(prefix: String): Option[String] = {
     var i = prefix.length - 1
-    while (i >= 0 && prefix.charAt(i) == Char.MaxValue) i -= 1
+    while (i >= 0 && (prefix.charAt(i) == Char.MaxValue || prefix.charAt(i) == '\uDFFF')) i -= 1
     if (i < 0) None
     else Some(prefix.substring(0, i) + (prefix.charAt(i) + 1).toChar)
   }

@@ -74,7 +74,7 @@ object RowEval {
   private final class StringsCmp(values: Array[String], m: Int, lit: String) extends Pred {
     def eval(r: Int): Int = {
       val v = values(r)
-      if (v == null) N else accept(m, v.compareTo(lit))
+      if (v == null) N else accept(m, Scalar.compareStrings(v, lit))
     }
   }
 

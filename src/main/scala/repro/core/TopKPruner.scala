@@ -95,7 +95,8 @@ object TopKPruner {
         processingOrder(stats, indices, q.orderCol, q.desc)
     }
 
-    val initBoundary = if (q.upfrontInit) upfrontBoundary(filtered.fullyMatching, q) else None
+    val initBoundary = if (q.upfrontInit) upfrontBoundary(filtered.stats, filtered.fullyIndices, q) else None
+    val orderZones = stats.column(q.orderCol)
 
     // Min-heap (DESC) keyed on the order value: head is the current boundary.
     implicit val heapOrd: Ordering[HeapRow] = new Ordering[HeapRow] {
@@ -113,14 +114,13 @@ object TopKPruner {
     var rowsScanned = 0L
 
     ordered.foreach { i =>
-      val meta = stats.metas(i)
       val canSkip = boundary != null && {
         val heapFull = heap.size >= q.k
         // With an initialized boundary, k qualifying rows at or above the
         // boundary are guaranteed to exist, so the comparison is valid even
         // before the heap fills (§5.4). Without it, only a full heap prunes.
         val active = heapFull || initBoundary.isDefined
-        active && !mayReach(meta, q, boundary)
+        active && !mayReach(orderZones, i, q.desc, boundary)
       }
       if (canSkip) skipped += 1
       else {
@@ -134,7 +134,7 @@ object TopKPruner {
         while (r < p.rowCount) {
           if ((pred == null || pred.passes(r)) && (qualifies == null || qualifies(r))) {
             if (col == null || col.isNull(r)) {
-              if (nullRows.size < q.k) nullRows += HeapRow(None, meta.id, r)
+              if (nullRows.size < q.k) nullRows += HeapRow(None, stats.metas(i).id, r)
             } else {
               // Not strictly worse than the boundary: compare(v, b) * sign >= 0.
               val admit = boundary == null || {
@@ -142,7 +142,7 @@ object TopKPruner {
                 c == ColumnVec.NC || c * sign >= 0 || heap.size < q.k && initBoundary.isEmpty
               }
               if (admit) {
-                heap.enqueue(HeapRow(Some(col.get(r)), meta.id, r))
+                heap.enqueue(HeapRow(Some(col.get(r)), stats.metas(i).id, r))
                 if (heap.size > q.k) heap.dequeue()
                 if (heap.size >= q.k) {
                   val heapBoundary = heap.head.orderValue.get
@@ -167,26 +167,32 @@ object TopKPruner {
     * lacking the column). A stable index sort over the column's zone-map
     * arrays: ties keep their order in `indices`.
     */
-  def processingOrder(stats: TableStats, indices: Array[Int], orderCol: String, desc: Boolean): Array[Int] = {
-    val col = stats.column(orderCol)
+  def processingOrder(stats: TableStats, indices: Array[Int], orderCol: String, desc: Boolean): Array[Int] =
+    sortByZone(stats.column(orderCol), indices, max = desc, desc)
+
+  /** `indices` in a stable sort by each partition's max (if `max`) or min,
+    * largest first if `desc`, smallest first if not, then the partitions
+    * without a range.
+    */
+  private def sortByZone(col: ColumnArrays, indices: Array[Int], max: Boolean, desc: Boolean): Array[Int] = {
     val sign = if (desc) 1 else -1
-    // Negative when partition i's potential is strictly better than j's.
+    // Negative when partition i's key is strictly better than j's.
     val cmp: (Int, Int) => Int = col match {
       case c: ColumnArrays.Longs =>
-        val k = if (desc) c.max else c.min
+        val k = if (max) c.max else c.min
         (i, j) => -sign * java.lang.Long.compare(k(i), k(j))
       case c: ColumnArrays.Doubles =>
-        val k = if (desc) c.max else c.min
+        val k = if (max) c.max else c.min
         (i, j) => -sign * Scalar.compareDoubles(k(i), k(j))
       case c: ColumnArrays.Strings =>
-        val k = if (desc) c.max else c.min
-        (i, j) => -sign * Integer.signum(k(i).compareTo(k(j)))
+        val k = if (max) c.max else c.min
+        (i, j) => -sign * Integer.signum(Scalar.compareStrings(k(i), k(j)))
       case c: ColumnArrays.Bools =>
-        val k = if (desc) c.max else c.min
+        val k = if (max) c.max else c.min
         (i, j) => -sign * java.lang.Boolean.compare(k(i), k(j))
       case c: ColumnArrays.Scalars =>
         // Incomparable families tie, as in a sort by `better`.
-        val k = if (desc) c.max else c.min
+        val k = if (max) c.max else c.min
         def better(a: Scalar, b: Scalar) = Scalar.compare(a, b).exists(_ * sign > 0)
         (i, j) => if (better(k(i), k(j))) -1 else if (better(k(j), k(i))) 1 else 0
     }
@@ -200,52 +206,62 @@ object TopKPruner {
     order.map(_.intValue)
   }
 
-  /** May partition `meta` hold a row not strictly worse than `boundary`?
-    * Not if its best value is strictly worse, or its order column is all NULL.
+  /** May partition `i` of `stats` hold a row not strictly worse than
+    * `boundary`? Not if its best value is strictly worse, or its order
+    * column has no range (all NULL, empty or absent).
     */
+  def mayReach(stats: TableStats, i: Int, q: TopKQuery, boundary: Scalar): Boolean =
+    mayReach(stats.column(q.orderCol), i, q.desc, boundary)
+
+  private def mayReach(col: ColumnArrays, i: Int, desc: Boolean, boundary: Scalar): Boolean =
+    col.state(i) == ColumnArrays.Ranged &&
+      !Scalar.compare(boundary, col.bound(i, max = desc)).exists(c => if (desc) c > 0 else c < 0)
+
+  /** [[mayReach]] of one partition record. */
   def mayReach(meta: PartitionMeta, q: TopKQuery, boundary: Scalar): Boolean =
-    boundaryPotential(meta, q).exists(best => !Scalar.compare(boundary, best).exists(c => if (q.desc) c > 0 else c < 0))
+    mayReach(TableStats.of(Vector(meta)), 0, q, boundary)
 
-  /** The best value this partition could contribute: max for DESC, min for ASC. */
-  private def boundaryPotential(meta: PartitionMeta, q: TopKQuery): Option[Scalar] =
-    meta.col(q.orderCol).flatMap(s => if (q.desc) s.max else s.min)
-
-  /** §5.4 — initial boundary from the fully-matching partitions' metadata. */
-  def upfrontBoundary(fullyMatching: Seq[PartitionMeta], q: TopKQuery): Option[Scalar] = {
-    val full = fullyMatching.filter(_.rowCount > 0)
-    if (full.isEmpty || q.k <= 0) return None
-    val sign = if (q.desc) 1 else -1
-    def betterOf(a: Scalar, b: Scalar): Scalar =
-      if (Scalar.compare(a, b).exists(c => c * sign > 0)) a else b
+  /** §5.4 — initial boundary from the metadata of the fully-matching
+    * partitions of `stats` at `fullyIndices`: the stricter of two
+    * candidates, each read off a sort of the partitions' zone maps.
+    */
+  def upfrontBoundary(stats: TableStats, fullyIndices: Array[Int], q: TopKQuery): Option[Scalar] = {
+    if (q.k <= 0) return None
+    val col = stats.column(q.orderCol)
+    // Partitions without rows or without a range give no candidate.
+    val ranged = fullyIndices.filter(i => stats.rowCount(i) > 0 && col.state(i) == ColumnArrays.Ranged)
 
     // Candidate 1: k-th best partition extreme (each partition attains its
     // max/min on at least one qualifying row).
-    val extremes = full.flatMap(m => boundaryPotential(m, q))
-    val cand1 = if (extremes.size >= q.k)
-      Some(extremes.sortWith((a, b) => Scalar.compare(a, b).exists(c => c * sign > 0))(q.k - 1))
-    else None
+    val byBest = sortByZone(col, ranged, max = q.desc, q.desc)
+    val cand1 = if (byBest.length >= q.k) Some(col.bound(byBest(q.k - 1), max = q.desc)) else None
 
     // Candidate 2: sort by the opposite extreme (min for DESC), best first;
     // all rows of a partition are at or above its min, so once cumulative
     // non-null row count reaches k, that partition's min bounds the k-th row.
-    val withMin = full.flatMap { m =>
-      m.col(q.orderCol).flatMap { s =>
-        val opposite = if (q.desc) s.min else s.max
-        val nonNull = m.rowCount - s.nullCount
-        opposite.filter(_ => nonNull > 0).map(v => (v, nonNull))
-      }
-    }.sortWith((a, b) => Scalar.compare(a._1, b._1).exists(c => c * sign > 0))
+    val byOpposite = sortByZone(col, ranged, max = !q.desc, q.desc)
     var acc = 0L
     var cand2: Option[Scalar] = None
-    val it = withMin.iterator
-    while (cand2.isEmpty && it.hasNext) {
-      val (v, n) = it.next(); acc += n
-      if (acc >= q.k) cand2 = Some(v)
+    var j = 0
+    while (cand2.isEmpty && j < byOpposite.length) {
+      val i = byOpposite(j)
+      val nonNull = stats.rowCount(i) - col.nullCount(i)
+      if (nonNull > 0) {
+        acc += nonNull
+        if (acc >= q.k) cand2 = Some(col.bound(i, max = !q.desc))
+      }
+      j += 1
     }
 
     (cand1, cand2) match {
-      case (Some(a), Some(b)) => Some(betterOf(a, b))
+      case (Some(a), Some(b)) => Some(if (Scalar.compare(a, b).exists(c => if (q.desc) c > 0 else c < 0)) a else b)
       case (a, b)             => a.orElse(b)
     }
+  }
+
+  /** [[upfrontBoundary]] over partition records. */
+  def upfrontBoundary(fullyMatching: Seq[PartitionMeta], q: TopKQuery): Option[Scalar] = {
+    val stats = TableStats.ofSeq(fullyMatching)
+    upfrontBoundary(stats, Array.range(0, stats.rowCount.length), q)
   }
 }

@@ -44,6 +44,8 @@ final case class PartitionMeta(id: Int, rowCount: Long, cols: Map[String, Column
   * whose ranges mix families keeps boxed [[Scalar]]s.
   */
 sealed abstract class ColumnArrays(val state: Array[Byte], val nullCount: Array[Long]) {
+  /** Partition `i`'s max if `max`, else its min, boxed; `i` must be ranged. */
+  def bound(i: Int, max: Boolean): Scalar
   /** Store partition `i`'s range; false if it is not of this column's family. */
   private[meta] def put(i: Int, lo: Scalar, hi: Scalar): Boolean
 }
@@ -58,6 +60,10 @@ object ColumnArrays {
   /** Long values, or date days when `dates`. */
   final class Longs(state: Array[Byte], nullCount: Array[Long], val dates: Boolean,
                     val min: Array[Long], val max: Array[Long]) extends ColumnArrays(state, nullCount) {
+    def bound(i: Int, max: Boolean): Scalar = {
+      val v = if (max) this.max(i) else min(i)
+      if (dates) DateV(v.toInt) else LongV(v)
+    }
     private[meta] def put(i: Int, lo: Scalar, hi: Scalar): Boolean = (lo, hi) match {
       case (LongV(a), LongV(b)) if !dates => min(i) = a; max(i) = b; true
       case (DateV(a), DateV(b)) if dates  => min(i) = a.toLong; max(i) = b.toLong; true
@@ -66,6 +72,7 @@ object ColumnArrays {
   }
   final class Doubles(state: Array[Byte], nullCount: Array[Long],
                       val min: Array[Double], val max: Array[Double]) extends ColumnArrays(state, nullCount) {
+    def bound(i: Int, max: Boolean): Scalar = DoubleV(if (max) this.max(i) else min(i))
     private[meta] def put(i: Int, lo: Scalar, hi: Scalar): Boolean = (lo, hi) match {
       case (DoubleV(a), DoubleV(b)) => min(i) = a; max(i) = b; true
       case _ => false
@@ -73,6 +80,7 @@ object ColumnArrays {
   }
   final class Strings(state: Array[Byte], nullCount: Array[Long],
                       val min: Array[String], val max: Array[String]) extends ColumnArrays(state, nullCount) {
+    def bound(i: Int, max: Boolean): Scalar = StringV(if (max) this.max(i) else min(i))
     private[meta] def put(i: Int, lo: Scalar, hi: Scalar): Boolean = (lo, hi) match {
       case (StringV(a), StringV(b)) => min(i) = a; max(i) = b; true
       case _ => false
@@ -80,6 +88,7 @@ object ColumnArrays {
   }
   final class Bools(state: Array[Byte], nullCount: Array[Long],
                     val min: Array[Boolean], val max: Array[Boolean]) extends ColumnArrays(state, nullCount) {
+    def bound(i: Int, max: Boolean): Scalar = BoolV(if (max) this.max(i) else min(i))
     private[meta] def put(i: Int, lo: Scalar, hi: Scalar): Boolean = (lo, hi) match {
       case (BoolV(a), BoolV(b)) => min(i) = a; max(i) = b; true
       case _ => false
@@ -87,6 +96,7 @@ object ColumnArrays {
   }
   final class Scalars(state: Array[Byte], nullCount: Array[Long],
                       val min: Array[Scalar], val max: Array[Scalar]) extends ColumnArrays(state, nullCount) {
+    def bound(i: Int, max: Boolean): Scalar = if (max) this.max(i) else min(i)
     private[meta] def put(i: Int, lo: Scalar, hi: Scalar): Boolean = { min(i) = lo; max(i) = hi; true }
   }
 

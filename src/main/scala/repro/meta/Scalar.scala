@@ -27,13 +27,36 @@ object Scalar {
   /** The order of two doubles: `Double.compare` with -0.0 equal to 0.0. */
   def compareDoubles(x: Double, y: Double): Int = java.lang.Double.compare(nd(x), nd(y))
 
+  /** The order of two strings: by code point, which is the byte order of
+    * their UTF-8 encodings and so Spark's `UTF8String` order. `compareTo`
+    * orders UTF-16 units instead, and puts a supplementary character (a
+    * surrogate pair, D800–DFFF) below U+E000–U+FFFF. Here each unit is
+    * remapped before comparing, surrogates above E000–FFFF, so that the
+    * order is lexicographic over the remapped units: a total order on all
+    * strings that is code-point order on well-formed ones.
+    */
+  def compareStrings(a: String, b: String): Int = {
+    val n = math.min(a.length, b.length)
+    var k = 0
+    while (k < n) {
+      val x = a.charAt(k)
+      val y = b.charAt(k)
+      if (x != y) return if (x >= 0xD800 && y >= 0xD800) codePointRank(x) - codePointRank(y) else x - y
+      k += 1
+    }
+    a.length - b.length
+  }
+
+  /** A UTF-16 unit's rank in [[compareStrings]]'s order, for units from D800. */
+  @inline private def codePointRank(c: Char): Int = if (c >= 0xE000) c - 0x800 else c + 0x2000
+
   /** Three-valued comparison: Some(<0|0|>0) when comparable, None otherwise. */
   def compare(a: Scalar, b: Scalar): Option[Int] = (a, b) match {
     case (LongV(x), LongV(y))     => Some(java.lang.Long.compare(x, y))
     case (LongV(x), DoubleV(y))   => Some(java.lang.Double.compare(x.toDouble, nd(y)))
     case (DoubleV(x), LongV(y))   => Some(java.lang.Double.compare(nd(x), y.toDouble))
     case (DoubleV(x), DoubleV(y)) => Some(compareDoubles(x, y))
-    case (StringV(x), StringV(y)) => Some(x.compareTo(y))
+    case (StringV(x), StringV(y)) => Some(compareStrings(x, y))
     case (DateV(x), DateV(y))     => Some(Integer.compare(x, y))
     case (BoolV(x), BoolV(y))     => Some(java.lang.Boolean.compare(x, y))
     case _                        => None

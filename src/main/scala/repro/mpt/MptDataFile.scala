@@ -202,8 +202,8 @@ object MptDataFile {
       offsets.reserve(4).putInt(values.length)
       if (lo == null) { lo = s; hi = s }
       else {
-        if (s.compareTo(lo) < 0) lo = s
-        if (hi.compareTo(s) < 0) hi = s
+        if (Scalar.compareStrings(s, lo) < 0) lo = s
+        if (Scalar.compareStrings(hi, s) < 0) hi = s
       }
     }
     protected def range = if (lo != null) Some((Scalar.StringV(lo), Scalar.StringV(hi))) else None

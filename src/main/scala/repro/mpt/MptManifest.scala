@@ -16,12 +16,14 @@ import repro.meta.{ColumnStats, PartitionMeta, TableStats}
   *
   * Format (TSV lines; names and values in [[MptSchema]]'s field codec):
   * {{{
-  * mpt-v2
+  * mpt-v3
   * col <TAB> name <TAB> type                        (one per column)
   * part <TAB> id <TAB> file <TAB> rowCount <TAB> (min max nullCount)*
   * }}}
-  * `mpt-v1` tables, whose partitions were TSV files, are not readable and
-  * must be rewritten.
+  * Older tables are not readable and must be rewritten: `mpt-v1`
+  * partitions were TSV files, and `mpt-v2` string min/max were folded in
+  * UTF-16 order, which disagrees with the code-point order pruning uses
+  * ([[repro.meta.Scalar.compareStrings]]) on supplementary characters.
   */
 final case class MptManifest(schema: StructType, partitions: Vector[MptPartitionEntry]) {
   def metas: Seq[PartitionMeta] = partitions.map(_.meta(schema))
@@ -43,7 +45,7 @@ final case class MptPartitionEntry(id: Int, file: String, rowCount: Long,
 
 object MptManifest {
   val FileName = "_manifest.mpt"
-  val Version = "mpt-v2"
+  val Version = "mpt-v3"
 
   /** Write the manifest to a temporary file in `dir`, then move it over
     * `_manifest.mpt` in one atomic step, so a reader sees the old manifest
@@ -80,7 +82,7 @@ object MptManifest {
     val header = if (lines.isEmpty) "" else lines.get(0)
     require(header == Version,
       s"mpt table $dir has manifest version '$header', but only '$Version' (binary column-chunk " +
-      "partitions) can be read: rewrite the table with MptWriter")
+      "partitions, string zone maps in code-point order) can be read: rewrite the table with MptWriter")
 
     val cols = Vector.newBuilder[StructField]
     val parts = Vector.newBuilder[MptPartitionEntry]

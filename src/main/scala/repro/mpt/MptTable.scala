@@ -187,11 +187,11 @@ final class MptScanBuilder(dir: String, manifest: MptManifest)
       case Some(plan) =>
         stats.topKPushed = true
         val q = TopKPruner.TopKQuery(plan.orderCol, plan.k, plan.desc)
-        val init = TopKPruner.upfrontBoundary(fully.toSeq.map(manifest.stats.metas), q)
+        val init = TopKPruner.upfrontBoundary(manifest.stats, fully, q)
         // §5.4 static pruning: below the upfront boundary nothing can qualify.
         val statically = init match {
           case None    => scan
-          case Some(b) => scan.filter(i => TopKPruner.mayReach(manifest.stats.metas(i), q, b))
+          case Some(b) => scan.filter(i => TopKPruner.mayReach(manifest.stats, i, q, b))
         }
         // §5.3 processing order: best boundary potential first; all-null last.
         val ordered = TopKPruner.processingOrder(manifest.stats, statically, plan.orderCol, plan.desc)

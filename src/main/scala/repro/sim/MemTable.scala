@@ -102,40 +102,50 @@ object MemTable {
   }
 
   /** Split rows into `numPartitions` equal chunks after arranging them per
-    * the layout. Row arrays may contain nulls (SQL NULL).
+    * the layout. Row arrays may contain nulls (SQL NULL). The arrangement is
+    * a stable sort of row positions: by the layout column's typed values,
+    * NULLs first and incomparable values tied, and for `Clustered` then by a
+    * noisy position.
     */
   def build(name: String, schema: IndexedSeq[String], rows: IndexedSeq[Array[Scalar]],
             numPartitions: Int, layout: Layout): MemTable = {
     val colIdx = schema.zipWithIndex.toMap
-    val arranged: IndexedSeq[Array[Scalar]] = layout match {
-      case Layout.Sorted(col) =>
-        val i = colIdx(col)
-        rows.sortWith((a, b) => scalarLt(a(i), b(i)))
+    def sortedBy(col: String): Array[Int] = {
+      val i = colIdx(col)
+      val c = ColumnVec.of(rows.iterator.map(_(i)).toArray)
+      stableSort(rows.size, (x, y) =>
+        if (c.isNull(x)) { if (c.isNull(y)) 0 else -1 }
+        else if (c.isNull(y)) 1
+        else {
+          val r = c.compareRows(x, y)
+          if (r == ColumnVec.NC) 0 else r
+        })
+    }
+    val arranged: Array[Int] = layout match {
+      case Layout.Sorted(col) => sortedBy(col)
       case Layout.Clustered(col, jitter, seed) =>
-        val i = colIdx(col)
-        val sorted = rows.sortWith((a, b) => scalarLt(a(i), b(i)))
+        val sorted = sortedBy(col)
         val rnd = new scala.util.Random(seed)
-        val n = sorted.size
+        val n = sorted.length
         // Jitter each row's position by up to `jitter` × n slots, then re-sort
         // by the noisy position: preserves global order, adds local overlap.
-        sorted.zipWithIndex
-          .map { case (r, pos) => (pos + (rnd.nextGaussian() * jitter * n), r) }
-          .sortBy(_._1).map(_._2)
+        val noisy = Array.tabulate(n)(pos => pos + (rnd.nextGaussian() * jitter * n))
+        stableSort(n, (x, y) => java.lang.Double.compare(noisy(x), noisy(y))).map(sorted)
       case Layout.Random(seed) =>
-        new scala.util.Random(seed).shuffle(rows)
+        new scala.util.Random(seed).shuffle(Vector.range(0, rows.size)).toArray
     }
     val n = math.max(1, numPartitions)
-    val per = math.max(1, (arranged.size + n - 1) / n)
+    val per = math.max(1, (arranged.length + n - 1) / n)
     val parts = arranged.grouped(per).zipWithIndex.map { case (chunk, i) =>
-      MemPartition.of(i, schema, chunk.toArray)
+      MemPartition.of(i, schema, chunk.map(rows))
     }.toVector
     new MemTable(name, schema, parts)
   }
 
-  private def scalarLt(a: Scalar, b: Scalar): Boolean = (a, b) match {
-    case (null, null) => false
-    case (null, _)    => true // nulls first in layout ordering (arbitrary but stable)
-    case (_, null)    => false
-    case _            => Scalar.lt(a, b).contains(true)
+  /** The positions `0 until n` in a stable sort by `cmp`. */
+  private def stableSort(n: Int, cmp: (Int, Int) => Int): Array[Int] = {
+    val order = Array.tabulate[Integer](n)(Integer.valueOf)
+    java.util.Arrays.sort(order, (x: Integer, y: Integer) => cmp(x, y)) // TimSort is stable
+    order.map(_.intValue)
   }
 }

@@ -8,7 +8,9 @@ import repro.meta.{ColumnStats, PartitionMeta, Scalar, TableStats}
 
 /** The §5.3 processing order ([[TopKPruner.processingOrder]]) is exactly the
   * order of a stable sort by the boundary-potential comparator over the
-  * partition records, which both execution paths used before it.
+  * partition records, which both execution paths used before it; and the
+  * index forms of the §5.4 upfront boundary and of the boundary test equal
+  * the record forms they replace.
   */
 class ProcessingOrderSpec extends AnyFunSuite {
 
@@ -68,5 +70,92 @@ class ProcessingOrderSpec extends AnyFunSuite {
     val metas = Vector.tabulate(5)(i => PartitionMeta(i, 10, Map.empty[String, ColumnStats]))
     val indices = Array(3, 1, 4, 0, 2)
     assert(TopKPruner.processingOrder(TableStats.of(metas), indices, "x", desc = true).toSeq == indices.toSeq)
+  }
+
+  // ---- top-k metadata by index ----------------------------------------------
+
+  /** The record form of `TopKPruner.mayReach` that the index form replaces. */
+  private def recordMayReach(meta: PartitionMeta, q: TopKPruner.TopKQuery, boundary: Scalar): Boolean =
+    recordPotential(meta, q).exists(best => !Scalar.compare(boundary, best).exists(c => if (q.desc) c > 0 else c < 0))
+
+  private def recordPotential(meta: PartitionMeta, q: TopKPruner.TopKQuery): Option[Scalar] =
+    meta.col(q.orderCol).flatMap(s => if (q.desc) s.max else s.min)
+
+  /** The record form of `TopKPruner.upfrontBoundary` that the index form replaces. */
+  private def recordUpfrontBoundary(fullyMatching: Seq[PartitionMeta], q: TopKPruner.TopKQuery): Option[Scalar] = {
+    val full = fullyMatching.filter(_.rowCount > 0)
+    if (full.isEmpty || q.k <= 0) return None
+    val sign = if (q.desc) 1 else -1
+    def betterOf(a: Scalar, b: Scalar): Scalar =
+      if (Scalar.compare(a, b).exists(c => c * sign > 0)) a else b
+    val extremes = full.flatMap(m => recordPotential(m, q))
+    val cand1 = if (extremes.size >= q.k)
+      Some(extremes.sortWith((a, b) => Scalar.compare(a, b).exists(c => c * sign > 0))(q.k - 1))
+    else None
+    val withMin = full.flatMap { m =>
+      m.col(q.orderCol).flatMap { s =>
+        val opposite = if (q.desc) s.min else s.max
+        val nonNull = m.rowCount - s.nullCount
+        opposite.filter(_ => nonNull > 0).map(v => (v, nonNull))
+      }
+    }.sortWith((a, b) => Scalar.compare(a._1, b._1).exists(c => c * sign > 0))
+    var acc = 0L
+    var cand2: Option[Scalar] = None
+    val it = withMin.iterator
+    while (cand2.isEmpty && it.hasNext) {
+      val (v, n) = it.next(); acc += n
+      if (acc >= q.k) cand2 = Some(v)
+    }
+    (cand1, cand2) match {
+      case (Some(a), Some(b)) => Some(betterOf(a, b))
+      case (a, b)             => a.orElse(b)
+    }
+  }
+
+  /** A value with its exact double bits, so -0.0 differs from 0.0. */
+  private def canon(s: Option[Scalar]): Any = s.map {
+    case DoubleV(d) => ("double", java.lang.Double.doubleToRawLongBits(d))
+    case other      => other
+  }
+
+  /** Like [[genMeta]], with row and null counts that vary, so that the
+    * cumulative non-null count of the second candidate crosses k anywhere.
+    */
+  private def genCountedMeta(id: Int, values: Gen[Scalar]): Gen[PartitionMeta] = Gen.frequency(
+    6 -> (for { a <- values; b <- values; rows <- Gen.choose(1, 6); nulls <- Gen.choose(0, 2) } yield {
+      val (lo, hi) = if (Scalar.compare(a, b).exists(_ > 0)) (b, a) else (a, b)
+      PartitionMeta(id, rows.toLong, Map("x" -> ColumnStats(Some(lo), Some(hi), math.min(nulls, rows - 1).toLong)))
+    }),
+    1 -> Gen.choose(1, 4).map(n => PartitionMeta(id, n.toLong, Map("x" -> ColumnStats(None, None, n.toLong)))),
+    1 -> Gen.const(PartitionMeta(id, 0, Map("x" -> ColumnStats(None, None, 0)))),
+    1 -> Gen.const(PartitionMeta(id, 3, Map.empty[String, ColumnStats])))
+
+  for ((family, values) <- families :+ ("all-NULL" -> Gen.const[Scalar](null)); desc <- Seq(true, false)) {
+    test(s"property: index forms of upfrontBoundary and mayReach equal the record forms ($family, desc=$desc)") {
+      val metaValues = if (family == "all-NULL") longs else values
+      val gen = for {
+        n <- Gen.choose(0, 30)
+        metas <- Gen.sequence[Vector[PartitionMeta], PartitionMeta]((0 until n).map { id =>
+          if (family == "all-NULL") Gen.choose(0, 3).map(r => PartitionMeta(id, r.toLong, Map("x" -> ColumnStats(None, None, r.toLong))))
+          else genCountedMeta(id, metaValues)
+        })
+        picked <- Gen.pick(n min 20, 0 until n)
+        seed <- Gen.long
+        k <- Gen.frequency(1 -> Gen.const(0), 6 -> Gen.choose(1, 12), 1 -> Gen.const(1000))
+        boundary <- Gen.oneOf(metaValues, Gen.oneOf(longs, doubles))
+      } yield (metas, new scala.util.Random(seed).shuffle(picked.toVector).toArray, k, boundary)
+      forAllSeeded(gen, n = 300) { case (metas, fully, k, boundary) =>
+        val stats = TableStats.of(metas)
+        val q = TopKPruner.TopKQuery("x", k, desc)
+        val want = recordUpfrontBoundary(fully.toSeq.map(metas), q)
+        assert(canon(TopKPruner.upfrontBoundary(stats, fully, q)) == canon(want), s"fully=${fully.toSeq.map(metas)} k=$k")
+        assert(canon(TopKPruner.upfrontBoundary(fully.toSeq.map(metas), q)) == canon(want))
+        metas.indices.foreach { i =>
+          assert(TopKPruner.mayReach(stats, i, q, boundary) == recordMayReach(metas(i), q, boundary),
+                 s"${metas(i)} against $boundary")
+          assert(TopKPruner.mayReach(metas(i), q, boundary) == recordMayReach(metas(i), q, boundary))
+        }
+      }
+    }
   }
 }

@@ -20,7 +20,9 @@ class PruningSoundnessSpec extends AnyFunSuite {
 
   import Scalar._
 
-  private val vocab = Vector("alpha", "bravo", "charlie", "delta", "echo", "foxtrot")
+  // U+FFFF sorts below the supplementary characters in code-point order.
+  private val vocab = Vector("alpha", "bravo", "charlie", "delta", "echo", "foxtrot",
+                             "\uFFFF", "\uE000b", "\uD83D\uDE00", "a\uD83D\uDE00", "\uDBFF\uDFFFz")
 
   private type Row = Map[String, Scalar] // value null = SQL NULL
 

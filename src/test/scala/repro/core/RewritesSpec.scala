@@ -1,7 +1,9 @@
 package repro.core
 
+import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.PropHelper.forAllSeeded
 import repro.meta.Scalar
 import PExpr._
 
@@ -54,5 +56,21 @@ class RewritesSpec extends AnyFunSuite {
       for (suffix <- Seq("", "a", "zzz", ""))
         assert((p + suffix) < ub, s"$p$suffix !< $ub")
     }
+  }
+
+  test("property: in code-point order every string with the prefix is below the upper bound") {
+    // UTF-16 units around the surrogate range; a prefix may end inside a pair.
+    val units = Gen.oneOf('a', 'z', '\uD7FF', '\uD800', '\uD83D', '\uDBFF', '\uDC00', '\uDE00',
+                          '\uDFFF', '\uE000', '\uFFFE', '\uFFFF')
+    val strings = Gen.listOf(units).map(_.take(4).mkString)
+    forAllSeeded(Gen.zip(strings, strings), n = 2000) { case (p, suffix) =>
+      Rewrites.prefixUpperBound(p) match {
+        case Some(ub) => assert(Scalar.compareStrings(p + suffix, ub) < 0, s"${(p + suffix).map(_.toInt)} !< ${ub.map(_.toInt)}")
+        case None     => assert(p.forall(c => c == '\uFFFF' || c == '\uDFFF'), p.map(_.toInt))
+      }
+    }
+    // U+1F7FF is a pair ending in U+DFFF; U+DFFF + 1 = U+E000 sorts below it.
+    assert(Rewrites.prefixUpperBound("x\uD83D\uDFFF").contains("x\uD83E"))
+    assert(Scalar.compareStrings("x\uD83D\uDFFF", "x\uD83D\uE000") > 0)
   }
 }

@@ -28,7 +28,8 @@ class RowEvalSpec extends AnyFunSuite {
                    Double.MinValue, Double.MaxValue, 1.5, -1.5, 9.223372036854776E18),
     5 -> Gen.choose(-5, 5).map(_.toDouble)).map(DoubleV(_))
   private val strings: Gen[Scalar] = Gen.oneOf(
-    "", "a", "ab", "b", "ba", "\uFFFF", "\uD83D\uDE00", "a\uD83D\uDE00", "\uE000", "%", "_", "a_b")
+    "", "a", "ab", "b", "ba", "\uFFFF", "\uD83D\uDE00", "a\uD83D\uDE00", "\uE000", "%", "_", "a_b",
+    "\uFFFFa", "\uD800\uDC00", "\uDBFF\uDFFF")
     .map(StringV(_))
   private val dates: Gen[Scalar] = Gen.choose(-3, 3).map(DateV(_))
   private val bools: Gen[Scalar] = Gen.oneOf(true, false).map(BoolV(_))

@@ -70,6 +70,28 @@ class ScalarSpec extends AnyFunSuite {
     }
   }
 
+  /** Well-formed strings over units on both sides of the surrogate range,
+    * BMP characters and supplementary ones.
+    */
+  private val genUnicode: Gen[String] = Gen.listOf(Gen.oneOf(
+    Gen.oneOf(0x00, 0x41, 0x7F, 0x80, 0x7FF, 0x800, 0xD7FF, 0xE000, 0xFFFD, 0xFFFF),
+    Gen.oneOf(0x10000, 0x1F600, 0x1F7FF, 0x10FFFF),
+    Gen.choose(0, 0x10FFFF - 0x800).map(cp => if (cp >= 0xD800) cp + 0x800 else cp)))
+    .map(cps => cps.take(4).map(cp => new String(Character.toChars(cp))).mkString)
+
+  test("property: strings compare by code point, which is their UTF-8 byte order") {
+    forAllSeeded(Gen.zip(genUnicode, genUnicode), n = 2000) { case (a, b) =>
+      val utf8 = java.util.Arrays.compareUnsigned(
+        a.getBytes(java.nio.charset.StandardCharsets.UTF_8), b.getBytes(java.nio.charset.StandardCharsets.UTF_8))
+      assert(compareStrings(a, b).sign == utf8.sign, s"${a.map(_.toInt)} vs ${b.map(_.toInt)}")
+      assert(compare(StringV(a), StringV(b)).map(_.sign).contains(utf8.sign))
+    }
+    // UTF-16 order puts U+1F600 (a surrogate pair) below U+FFFF.
+    assert("\uD83D\uDE00".compareTo("\uFFFF") < 0)
+    assert(compareStrings("\uD83D\uDE00", "\uFFFF") > 0)
+    assert(lt(StringV("\uFFFF"), StringV("\uD83D\uDE00")).contains(true))
+  }
+
   test("Tri Kleene logic truth table") {
     import Tri._
     assert((True && True) == True)

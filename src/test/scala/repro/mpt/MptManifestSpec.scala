@@ -39,4 +39,16 @@ class MptManifestSpec extends SparkSpec {
     assert(e.getMessage.contains("mpt-v1") && e.getMessage.contains("rewrite"), e.getMessage)
     intercept[IllegalArgumentException](readMpt(dir))
   }
+
+  test("an mpt-v2 table, whose string zone maps were in UTF-16 order, fails at load time and asks for a rewrite") {
+    val dir = tmpDir("v2")
+    MptWriter.write(spark.range(10).toDF("id"), dir, 2, MptWriter.Layout.SortedBy("id"))
+    val manifest = new File(dir, MptManifest.FileName).toPath
+    val lines = new String(Files.readAllBytes(manifest), StandardCharsets.UTF_8).split('\n')
+    assert(lines.head == MptManifest.Version && MptManifest.Version == "mpt-v3")
+    Files.write(manifest, ("mpt-v2" +: lines.tail).mkString("\n").getBytes(StandardCharsets.UTF_8))
+    val e = intercept[IllegalArgumentException](MptManifest.read(dir))
+    assert(e.getMessage.contains("mpt-v2") && e.getMessage.contains("rewrite"), e.getMessage)
+    intercept[IllegalArgumentException](readMpt(dir))
+  }
 }

@@ -230,4 +230,21 @@ class MptTableSpec extends SparkSpec {
     val stats = ScanMetrics.forTable(dir).get
     assert(stats.afterFilterPruning < stats.totalPartitions, s"$stats")
   }
+
+  test("strings compare in Spark's order: s > '\\uFFFF' returns the supplementary character") {
+    import spark.implicits._
+    // UTF-16 order puts U+1F600 (a surrogate pair) below U+FFFF; Spark's
+    // UTF-8 byte order, which is code-point order, puts it above.
+    val df = Seq("\uFFFF", "\uD83D\uDE00", "a").toDF("s")
+    def strings(d: DataFrame): Seq[String] = d.collect().map(_.getString(0)).toSeq
+    for ((layout, parts) <- Seq(MptWriter.Layout.AsIs -> 1, MptWriter.Layout.SortedBy("s") -> 3)) {
+      val dir = tmpDir("codepoints")
+      MptWriter.write(df.coalesce(1), dir, parts, layout)
+      for (p <- Seq("s > '\uFFFF'", "s >= '\uD83D\uDE00'", "s < '\uD83D\uDE00'", "s LIKE '\uD83D\uDE00%'"))
+        assert(strings(readMpt(dir).filter(p)).sorted == strings(df.filter(p)).sorted, s"$layout: $p")
+      assert(strings(readMpt(dir).filter("s > '\uFFFF'")) == Seq("\uD83D\uDE00"))
+      assert(strings(readMpt(dir).orderBy(col("s").desc).limit(1)) == strings(df.orderBy(col("s").desc).limit(1)))
+      assert(strings(readMpt(dir).orderBy("s")) == strings(df.orderBy("s")))
+    }
+  }
 }
