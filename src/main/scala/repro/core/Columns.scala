@@ -32,6 +32,10 @@ sealed abstract class ColumnVec {
   def compareAt(r: Int, s: Scalar): Int
   /** `Scalar.compare(get(i), get(j))` of two non-NULL rows, as [[compareAt]]. */
   def compareRows(i: Int, j: Int): Int
+  /** The rows at `positions(from until until)`, in that order, copied into a
+    * new column: the one [[ColumnVec.of]] gives for their values.
+    */
+  def select(positions: Array[Int], from: Int, until: Int): ColumnVec
 
   /** The zone map of this column: min, max and null count. A tie (±0.0,
     * NaNs) keeps the first value seen, and an incomparable value restarts
@@ -72,6 +76,13 @@ object ColumnVec {
       case _          => NC
     }
     def compareRows(i: Int, j: Int): Int = java.lang.Long.compare(values(i), values(j))
+    def select(positions: Array[Int], from: Int, until: Int): ColumnVec =
+      gather(nulls, positions, from, until) { flags =>
+        val out = new Array[Long](until - from)
+        var r = 0
+        while (r < out.length) { out(r) = values(positions(from + r)); r += 1 }
+        new Longs(out, flags)
+      }
   }
 
   /** Dates as days since the epoch. */
@@ -83,6 +94,13 @@ object ColumnVec {
       case _        => NC
     }
     def compareRows(i: Int, j: Int): Int = Integer.compare(days(i), days(j))
+    def select(positions: Array[Int], from: Int, until: Int): ColumnVec =
+      gather(nulls, positions, from, until) { flags =>
+        val out = new Array[Int](until - from)
+        var r = 0
+        while (r < out.length) { out(r) = days(positions(from + r)); r += 1 }
+        new Dates(out, flags)
+      }
   }
 
   final class Doubles(val values: Array[Double], val nulls: Array[Boolean]) extends ColumnVec {
@@ -94,6 +112,13 @@ object ColumnVec {
       case _          => NC
     }
     def compareRows(i: Int, j: Int): Int = Scalar.compareDoubles(values(i), values(j))
+    def select(positions: Array[Int], from: Int, until: Int): ColumnVec =
+      gather(nulls, positions, from, until) { flags =>
+        val out = new Array[Double](until - from)
+        var r = 0
+        while (r < out.length) { out(r) = values(positions(from + r)); r += 1 }
+        new Doubles(out, flags)
+      }
   }
 
   final class Strings(val values: Array[String]) extends ColumnVec {
@@ -104,6 +129,17 @@ object ColumnVec {
       case _          => NC
     }
     def compareRows(i: Int, j: Int): Int = Integer.signum(Scalar.compareStrings(values(i), values(j)))
+    def select(positions: Array[Int], from: Int, until: Int): ColumnVec = {
+      val out = new Array[String](until - from)
+      var nullCount = 0
+      var r = 0
+      while (r < out.length) {
+        out(r) = values(positions(from + r))
+        if (out(r) == null) nullCount += 1
+        r += 1
+      }
+      if (nullCount == out.length) new Scalars(new Array[Scalar](out.length)) else new Strings(out)
+    }
   }
 
   final class Bools(val values: Array[Boolean], val nulls: Array[Boolean]) extends ColumnVec {
@@ -114,6 +150,13 @@ object ColumnVec {
       case _        => NC
     }
     def compareRows(i: Int, j: Int): Int = java.lang.Boolean.compare(values(i), values(j))
+    def select(positions: Array[Int], from: Int, until: Int): ColumnVec =
+      gather(nulls, positions, from, until) { flags =>
+        val out = new Array[Boolean](until - from)
+        var r = 0
+        while (r < out.length) { out(r) = values(positions(from + r)); r += 1 }
+        new Bools(out, flags)
+      }
   }
 
   /** Values of mixed families, or only NULLs. */
@@ -125,6 +168,30 @@ object ColumnVec {
       case None    => NC
     }
     def compareRows(i: Int, j: Int): Int = compareAt(i, values(j))
+    def select(positions: Array[Int], from: Int, until: Int): ColumnVec =
+      of(Array.tabulate(until - from)(r => values(positions(from + r))))
+  }
+
+  /** A primitive column's [[ColumnVec.select]]: the null flags of the rows
+    * at `positions(from until until)` go to `typed`, which copies their
+    * values — null flags if some rows are NULL, null if none are. Rows that
+    * are all NULL, or none, give the boxed column [[ColumnVec.of]] gives.
+    */
+  private def gather(nulls: Array[Boolean], positions: Array[Int], from: Int, until: Int)
+                    (typed: Array[Boolean] => ColumnVec): ColumnVec = {
+    val n = until - from
+    var flags: Array[Boolean] = null
+    var nullCount = 0
+    if (nulls != null) {
+      flags = new Array[Boolean](n)
+      var r = 0
+      while (r < n) {
+        if (nulls(positions(from + r))) { flags(r) = true; nullCount += 1 }
+        r += 1
+      }
+    }
+    if (nullCount == n) new Scalars(new Array[Scalar](n))
+    else typed(if (nullCount == 0) null else flags)
   }
 
   /** The narrowest column holding `values` (null = SQL NULL). */

@@ -3,7 +3,7 @@ package repro.sim
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
 
-import repro.core.{ColumnVec, PartitionData, PExprEval}
+import repro.core.{ColumnVec, IndexSort, PartitionData, PExprEval}
 import repro.meta._
 
 /** One in-memory micro-partition: one typed column per schema field (see
@@ -101,19 +101,28 @@ object MemTable {
     final case class Random(seed: Long) extends Layout
   }
 
-  /** Split rows into `numPartitions` equal chunks after arranging them per
-    * the layout. Row arrays may contain nulls (SQL NULL). The arrangement is
-    * a stable sort of row positions: by the layout column's typed values,
-    * NULLs first and incomparable values tied, and for `Clustered` then by a
-    * noisy position.
+  /** [[build]] over rows, each an array in schema order that may contain
+    * nulls (SQL NULL): each column becomes the narrowest [[ColumnVec]]
+    * holding its values.
     */
   def build(name: String, schema: IndexedSeq[String], rows: IndexedSeq[Array[Scalar]],
+            numPartitions: Int, layout: Layout): MemTable =
+    build(name, schema, schema.indices.map(i => ColumnVec.of(rows.iterator.map(_(i)).toArray)),
+          rows.size, numPartitions, layout)
+
+  /** Split the `rowCount` rows of `columns` (in schema order) into
+    * `numPartitions` equal chunks after arranging them per the layout. The
+    * arrangement is a stable sort of row positions: by the layout column's
+    * typed values, NULLs first and incomparable values tied, and for
+    * `Clustered` then by a noisy position. Each partition gathers its rows
+    * of every column into arrays of its own.
+    */
+  def build(name: String, schema: IndexedSeq[String], columns: IndexedSeq[ColumnVec], rowCount: Int,
             numPartitions: Int, layout: Layout): MemTable = {
     val colIdx = schema.zipWithIndex.toMap
     def sortedBy(col: String): Array[Int] = {
-      val i = colIdx(col)
-      val c = ColumnVec.of(rows.iterator.map(_(i)).toArray)
-      stableSort(rows.size, (x, y) =>
+      val c = columns(colIdx(col))
+      IndexSort.range(rowCount, (x, y) =>
         if (c.isNull(x)) { if (c.isNull(y)) 0 else -1 }
         else if (c.isNull(y)) 1
         else {
@@ -129,23 +138,20 @@ object MemTable {
         val n = sorted.length
         // Jitter each row's position by up to `jitter` × n slots, then re-sort
         // by the noisy position: preserves global order, adds local overlap.
-        val noisy = Array.tabulate(n)(pos => pos + (rnd.nextGaussian() * jitter * n))
-        stableSort(n, (x, y) => java.lang.Double.compare(noisy(x), noisy(y))).map(sorted)
+        val noisy = new Array[Double](n)
+        var pos = 0
+        while (pos < n) { noisy(pos) = pos + (rnd.nextGaussian() * jitter * n); pos += 1 }
+        IndexSort.range(n, (x, y) => java.lang.Double.compare(noisy(x), noisy(y))).map(sorted(_))
       case Layout.Random(seed) =>
-        new scala.util.Random(seed).shuffle(Vector.range(0, rows.size)).toArray
+        new scala.util.Random(seed).shuffle(Vector.range(0, rowCount)).toArray
     }
     val n = math.max(1, numPartitions)
-    val per = math.max(1, (arranged.length + n - 1) / n)
-    val parts = arranged.grouped(per).zipWithIndex.map { case (chunk, i) =>
-      MemPartition.of(i, schema, chunk.map(rows))
-    }.toVector
+    val per = math.max(1, (rowCount + n - 1) / n)
+    val parts = Vector.tabulate((rowCount + per - 1) / per) { i =>
+      val from = i * per
+      val until = math.min(rowCount, from + per)
+      new MemPartition(i, schema, columns.map(_.select(arranged, from, until)), until - from)
+    }
     new MemTable(name, schema, parts)
-  }
-
-  /** The positions `0 until n` in a stable sort by `cmp`. */
-  private def stableSort(n: Int, cmp: (Int, Int) => Int): Array[Int] = {
-    val order = Array.tabulate[Integer](n)(Integer.valueOf)
-    java.util.Arrays.sort(order, (x: Integer, y: Integer) => cmp(x, y)) // TimSort is stable
-    order.map(_.intValue)
   }
 }

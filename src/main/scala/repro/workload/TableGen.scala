@@ -1,6 +1,6 @@
 package repro.workload
 
-import repro.meta.Scalar
+import repro.core.ColumnVec.{Dates, Doubles, Longs, Strings}
 import repro.sim.MemTable
 
 /** Synthetic "customer" tables for the workload experiments.
@@ -15,28 +15,36 @@ import repro.sim.MemTable
   *    random), which decides zone-map effectiveness.
   */
 object TableGen {
-  import Scalar._
-
   val vocab: Vector[String] =
     Vector("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel")
 
   final case class TableSpec(name: String, partitions: Int, rowsPerPartition: Int,
                              layout: MemTable.Layout)
 
+  /** The rows of `spec`, drawn row by row (v, d, s, dt, g) straight into
+    * typed columns; `id` is the row number.
+    */
   def build(spec: TableSpec, seed: Long): MemTable = {
     val n = spec.partitions * spec.rowsPerPartition
     val rnd = new scala.util.Random(seed)
-    val rows = (0 until n).map { i =>
-      Array[Scalar](
-        LongV(i.toLong),
-        LongV(rnd.nextInt(1000000).toLong),
-        DoubleV(rnd.nextDouble() * 1000),
-        StringV(vocab(rnd.nextInt(vocab.size))),
-        DateV(9131 + rnd.nextInt(2557)), // 1995-01-01 .. ~2001-12
-        LongV(rnd.nextInt(100).toLong))
+    val id, v, g = new Array[Long](n)
+    val d = new Array[Double](n)
+    val s = new Array[String](n)
+    val dt = new Array[Int](n)
+    var i = 0
+    while (i < n) {
+      id(i) = i.toLong
+      v(i) = rnd.nextInt(1000000).toLong
+      d(i) = rnd.nextDouble() * 1000
+      s(i) = vocab(rnd.nextInt(vocab.size))
+      dt(i) = 9131 + rnd.nextInt(2557) // 1995-01-01 .. ~2001-12
+      g(i) = rnd.nextInt(100).toLong
+      i += 1
     }
     MemTable.build(spec.name, IndexedSeq("id", "v", "d", "s", "dt", "g"),
-                   rows, spec.partitions, spec.layout)
+                   IndexedSeq(new Longs(id, null), new Longs(v, null), new Doubles(d, null),
+                              new Strings(s), new Dates(dt, null), new Longs(g, null)),
+                   n, spec.partitions, spec.layout)
   }
 
   /** A catalog mixing table sizes and layouts with realistic skew: many

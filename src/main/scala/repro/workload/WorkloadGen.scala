@@ -137,65 +137,71 @@ object WorkloadGen {
     case object Uniform extends TableBias
   }
 
-  private def pickTable(rnd: scala.util.Random, tables: Vector[MemTable],
-                        bias: TableBias): MemTable = bias match {
-    case TableBias.Uniform => tables(rnd.nextInt(tables.size))
-    case _ =>
-      val weights = tables.map { t =>
-        bias match {
-          case TableBias.Small => 1.0 / math.pow(t.numPartitions.toDouble, 0.7)
-          case _               => t.numPartitions.toDouble
-        }
-      }
-      val total = weights.sum
-      var x = rnd.nextDouble() * total
-      var i = 0
-      while (i < tables.size - 1 && x > weights(i)) { x -= weights(i); i += 1 }
-      tables(i)
+  /** Draws tables by bias. The weights and their total are computed once
+    * per workload, in table order.
+    */
+  private final class TablePicker(tables: Vector[MemTable]) {
+    private def weighted(w: MemTable => Double): (Array[Double], Double) = {
+      val weights = tables.map(w)
+      (weights.toArray, weights.sum)
+    }
+    private val small = weighted(t => 1.0 / math.pow(t.numPartitions.toDouble, 0.7))
+    private val large = weighted(_.numPartitions.toDouble)
+
+    def apply(rnd: scala.util.Random, bias: TableBias): MemTable = bias match {
+      case TableBias.Uniform => tables(rnd.nextInt(tables.size))
+      case _ =>
+        val (weights, total) = if (bias == TableBias.Small) small else large
+        var x = rnd.nextDouble() * total
+        var i = 0
+        while (i < tables.size - 1 && x > weights(i)) { x -= weights(i); i += 1 }
+        tables(i)
+    }
   }
 
   /** Generate the workload. Mix calibrated to Table 1 (see class comment). */
   def generate(tables: Vector[MemTable], nQueries: Int, seed: Long): Vector[WorkloadQuery] = {
     val rnd = new scala.util.Random(seed)
+    val pickTable = new TablePicker(tables)
     (0 until nQueries).map { i =>
       val id = i.toLong
       val roll = rnd.nextDouble()
       val q: WorkloadQuery =
         if (roll < 0.0447) { // ORDER BY x LIMIT k
-          val t = pickTable(rnd, tables, TableBias.Large)
+          val t = pickTable(rnd, TableBias.Large)
           val pred = if (rnd.nextDouble() < 0.4) Some(samplePredicateForTable(rnd, t)) else None
           val spec = QuerySpec(id, t.name, pred,
             orderBy = Some(OrderBy("v", desc = rnd.nextDouble() < 0.8)),
             limit = Some(sampleK(rnd, allowZero = false)))
           WorkloadQuery(spec, SqlRender.render(spec), Kind.TopKOrderBy)
         } else if (roll < 0.0459) { // GROUP BY x ORDER BY x LIMIT k
-          val t = pickTable(rnd, tables, TableBias.Large)
+          val t = pickTable(rnd, TableBias.Large)
           val spec = QuerySpec(id, t.name, None, groupBy = Some("g"),
             orderBy = Some(OrderBy("g", desc = true)),
             limit = Some(sampleK(rnd, allowZero = false)))
           WorkloadQuery(spec, SqlRender.render(spec), Kind.TopKGroupKey)
         } else if (roll < 0.0555) { // GROUP BY y ORDER BY agg(x) LIMIT k
-          val t = pickTable(rnd, tables, TableBias.Uniform)
+          val t = pickTable(rnd, TableBias.Uniform)
           val spec = QuerySpec(id, t.name, None, groupBy = Some("g"),
             orderBy = Some(OrderBy("cnt", desc = true, aggregated = true)),
             limit = Some(sampleK(rnd, allowZero = false)))
           WorkloadQuery(spec, SqlRender.render(spec), Kind.TopKGroupAgg)
         } else if (roll < 0.0592) { // LIMIT without predicate
-          val t = pickTable(rnd, tables, TableBias.Small)
+          val t = pickTable(rnd, TableBias.Small)
           val spec = QuerySpec(id, t.name, None, limit = Some(sampleK(rnd, allowZero = true)),
             limitShapeSupported = rnd.nextDouble() > 0.02)
           WorkloadQuery(spec, SqlRender.render(spec), Kind.LimitNoPred)
         } else if (roll < 0.0815) { // LIMIT with predicate
           // Filtered LIMIT queries target real (larger) data sets; a large
           // share of the full query shapes block the pushdown (§4.3).
-          val t = pickTable(rnd, tables, TableBias.Uniform)
+          val t = pickTable(rnd, TableBias.Uniform)
           val spec = QuerySpec(id, t.name, Some(samplePredicate(rnd)),
             limit = Some(sampleK(rnd, allowZero = true)),
             limitShapeSupported = rnd.nextDouble() > 0.60)
           WorkloadQuery(spec, SqlRender.render(spec), Kind.LimitPred)
         } else if (roll < 0.28) { // join
-          val probe = pickTable(rnd, tables, TableBias.Large)
-          val build = pickTable(rnd, tables, TableBias.Small)
+          val probe = pickTable(rnd, TableBias.Large)
+          val build = pickTable(rnd, TableBias.Small)
           // Analytical joins usually filter the fact (probe) side too, with
           // predicates correlated to the build-side filter.
           val center = rnd.nextInt(1000000).toLong
@@ -213,7 +219,7 @@ object WorkloadGen {
           // Predicated scans go to large tables (that is why they filter);
           // full-table SELECTs are exploratory pokes at small tables.
           val withPred = rnd.nextDouble() < 0.75
-          val t = pickTable(rnd, tables, if (withPred) TableBias.Large else TableBias.Small)
+          val t = pickTable(rnd, if (withPred) TableBias.Large else TableBias.Small)
           val pred = if (withPred) Some(samplePredicateForTable(rnd, t)) else None
           val spec = QuerySpec(id, t.name, pred)
           WorkloadQuery(spec, SqlRender.render(spec), Kind.Plain)
