@@ -2,15 +2,15 @@ package repro.mpt
 
 import java.io.File
 import java.nio.{ByteBuffer, ByteOrder}
-import java.nio.charset.StandardCharsets
-import java.nio.file.Files
+import java.nio.channels.FileChannel
+import java.nio.file.{Files, Path, StandardOpenOption}
 
 import scala.collection.mutable
 
-import org.apache.spark.sql.Row
-import org.apache.spark.sql.catalyst.util.DateTimeUtils
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.execution.vectorized.OnHeapColumnVector
 import org.apache.spark.sql.types._
+import org.apache.spark.unsafe.types.UTF8String
 
 import repro.meta.{ColumnStats, Scalar}
 
@@ -39,13 +39,15 @@ object MptDataFile {
   // ---- writing -------------------------------------------------------------
 
   /** Collects one partition's rows column by column, with each column's zone
-    * map, and writes them as one data file.
+    * map, and writes them as one data file. Rows arrive in Spark's internal
+    * form, so values are read unboxed: dates as epoch days, strings as their
+    * UTF-8 bytes. A row is not kept, so a reused row object is safe.
     */
   final class Writer(schema: StructType) {
     private val columns: Array[ColumnWriter] = schema.fields.map(f => ColumnWriter(f.dataType))
     private var rows = 0
 
-    def add(row: Row): Unit = {
+    def add(row: InternalRow): Unit = {
       var i = 0
       while (i < columns.length) { columns(i).add(row, i, rows); i += 1 }
       rows += 1
@@ -54,14 +56,28 @@ object MptDataFile {
     def rowCount: Long = rows
     def stats: Vector[ColumnStats] = columns.map(_.stats).toVector
 
+    /** Write the data file and force it to the device before returning, so
+      * a manifest written afterwards never names a file a power loss could
+      * leave incomplete.
+      */
     def writeTo(file: File): Unit = {
       val lengths = columns.map(_.chunkLength(rows))
       val out = ByteBuffer.allocate(12 + 4 * columns.length + lengths.sum).order(LE)
       out.putInt(Magic).putInt(rows).putInt(columns.length)
       lengths.foreach(out.putInt)
       columns.foreach(_.writeChunk(out, rows))
-      Files.write(file.toPath, out.array)
+      writeForced(file.toPath, out.flip())
     }
+  }
+
+  /** Write `bytes` as the whole content of `path` and force it to the device. */
+  private[mpt] def writeForced(path: Path, bytes: ByteBuffer): Unit = {
+    val ch = FileChannel.open(path, StandardOpenOption.CREATE, StandardOpenOption.WRITE,
+                              StandardOpenOption.TRUNCATE_EXISTING)
+    try {
+      while (bytes.hasRemaining) ch.write(bytes)
+      ch.force(true)
+    } finally ch.close()
   }
 
   /** A growable little-endian byte buffer. */
@@ -88,12 +104,12 @@ object MptDataFile {
     private val nullRows = mutable.ArrayBuilder.make[Int]
     private var nulls = 0
 
-    final def add(row: Row, i: Int, rowId: Int): Unit =
+    final def add(row: InternalRow, i: Int, rowId: Int): Unit =
       if (row.isNullAt(i)) { nullRows += rowId; nulls += 1; putNull() }
       else put(row, i)
 
     protected def putNull(): Unit
-    protected def put(row: Row, i: Int): Unit
+    protected def put(row: InternalRow, i: Int): Unit
     /** Min and max, or None if every value was NULL. */
     protected def range: Option[(Scalar, Scalar)]
 
@@ -121,8 +137,8 @@ object MptDataFile {
   private object ColumnWriter {
     def apply(dt: DataType): ColumnWriter = dt match {
       case LongType    => new LongWriter
-      case IntegerType => new IntWriter(_.getInt(_), Scalar.LongV(_))
-      case DateType    => new IntWriter((r, i) => DateTimeUtils.anyToDays(r.get(i)), Scalar.DateV(_))
+      case IntegerType => new IntWriter(Scalar.LongV(_))
+      case DateType    => new IntWriter(Scalar.DateV(_))
       case DoubleType  => new DoubleWriter
       case BooleanType => new BooleanWriter
       case StringType  => new StringWriter
@@ -134,7 +150,7 @@ object MptDataFile {
     private var seen = false
     private var lo, hi = 0L
     protected def putNull(): Unit = values.reserve(8).putLong(0L)
-    protected def put(row: Row, i: Int): Unit = {
+    protected def put(row: InternalRow, i: Int): Unit = {
       val v = row.getLong(i)
       values.reserve(8).putLong(v)
       if (!seen) { lo = v; hi = v; seen = true }
@@ -144,15 +160,15 @@ object MptDataFile {
     protected def range = if (seen) Some((Scalar.LongV(lo), Scalar.LongV(hi))) else None
   }
 
-  /** Int and date columns: four bytes per value; `value` reads it as an int
-    * (epoch days for dates), `scalar` types the range.
+  /** Int and date columns (dates are epoch days in an internal row): four
+    * bytes per value; `scalar` types the range.
     */
-  private final class IntWriter(value: (Row, Int) => Int, scalar: Int => Scalar) extends ColumnWriter {
+  private final class IntWriter(scalar: Int => Scalar) extends ColumnWriter {
     private var seen = false
     private var lo, hi = 0
     protected def putNull(): Unit = values.reserve(4).putInt(0)
-    protected def put(row: Row, i: Int): Unit = {
-      val v = value(row, i)
+    protected def put(row: InternalRow, i: Int): Unit = {
+      val v = row.getInt(i)
       values.reserve(4).putInt(v)
       if (!seen) { lo = v; hi = v; seen = true }
       else if (v < lo) lo = v
@@ -165,7 +181,7 @@ object MptDataFile {
     private var seen = false
     private var lo, hi = 0.0
     protected def putNull(): Unit = values.reserve(8).putDouble(0.0)
-    protected def put(row: Row, i: Int): Unit = {
+    protected def put(row: InternalRow, i: Int): Unit = {
       val v = row.getDouble(i)
       values.reserve(8).putDouble(v)
       if (!seen) { lo = v; hi = v; seen = true }
@@ -181,7 +197,7 @@ object MptDataFile {
     private var seen = false
     private var lo, hi = false
     protected def putNull(): Unit = values.reserve(1).put(0.toByte)
-    protected def put(row: Row, i: Int): Unit = {
+    protected def put(row: InternalRow, i: Int): Unit = {
       val v = row.getBoolean(i)
       values.reserve(1).put((if (v) 1 else 0).toByte)
       if (!seen) { lo = v; hi = v; seen = true }
@@ -190,23 +206,28 @@ object MptDataFile {
     protected def range = if (seen) Some((Scalar.BoolV(lo), Scalar.BoolV(hi))) else None
   }
 
+  /** Copies each value's UTF-8 bytes and folds min/max in unsigned byte
+    * order, which is [[Scalar.compareStrings]]' code-point order; the bounds
+    * are decoded once, when the zone map is read.
+    */
   private final class StringWriter extends ColumnWriter {
     private val offsets = new Sink
     offsets.reserve(4).putInt(0)
-    private var lo, hi: String = null
+    private var lo, hi: UTF8String = null
     protected def putNull(): Unit = offsets.reserve(4).putInt(values.length)
-    protected def put(row: Row, i: Int): Unit = {
-      val s = row.getString(i)
-      val bytes = s.getBytes(StandardCharsets.UTF_8)
-      values.reserve(bytes.length).put(bytes)
+    protected def put(row: InternalRow, i: Int): Unit = {
+      val s = row.getUTF8String(i)
+      s.writeTo(values.reserve(s.numBytes))
       offsets.reserve(4).putInt(values.length)
-      if (lo == null) { lo = s; hi = s }
+      // The row's bytes may be reused after this call: keep copies.
+      if (lo == null) { lo = s.clone(); hi = lo }
       else {
-        if (Scalar.compareStrings(s, lo) < 0) lo = s
-        if (Scalar.compareStrings(hi, s) < 0) hi = s
+        if (s.binaryCompare(lo) < 0) lo = s.clone()
+        if (hi.binaryCompare(s) < 0) hi = s.clone()
       }
     }
-    protected def range = if (lo != null) Some((Scalar.StringV(lo), Scalar.StringV(hi))) else None
+    protected def range =
+      if (lo != null) Some((Scalar.StringV(lo.toString), Scalar.StringV(hi.toString))) else None
     override protected def valuesLength: Int = offsets.length + values.length
     override protected def writeValues(out: ByteBuffer): Unit = { offsets.writeTo(out); values.writeTo(out) }
   }

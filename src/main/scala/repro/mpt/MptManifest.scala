@@ -1,7 +1,9 @@
 package repro.mpt
 
+import java.nio.ByteBuffer
+import java.nio.channels.FileChannel
 import java.nio.charset.StandardCharsets
-import java.nio.file.{Files, Paths, StandardCopyOption}
+import java.nio.file.{Files, Path, Paths, StandardCopyOption, StandardOpenOption}
 
 import org.apache.spark.sql.types.{StructField, StructType}
 
@@ -49,7 +51,9 @@ object MptManifest {
 
   /** Write the manifest to a temporary file in `dir`, then move it over
     * `_manifest.mpt` in one atomic step, so a reader sees the old manifest
-    * or the new one, never a partial one.
+    * or the new one, never a partial one. The temporary file is forced to
+    * the device before the move and the directory after it, so the new
+    * manifest survives a power loss once this returns.
     */
   def write(dir: String, manifest: MptManifest): Unit = {
     val sb = new StringBuilder
@@ -69,10 +73,19 @@ object MptManifest {
     Files.createDirectories(Paths.get(dir))
     val tmp = Paths.get(dir, s"$FileName.${java.util.UUID.randomUUID()}.tmp")
     try {
-      Files.write(tmp, sb.toString.getBytes(StandardCharsets.UTF_8))
+      MptDataFile.writeForced(tmp, ByteBuffer.wrap(sb.toString.getBytes(StandardCharsets.UTF_8)))
       Files.move(tmp, Paths.get(dir, FileName),
                  StandardCopyOption.ATOMIC_MOVE, StandardCopyOption.REPLACE_EXISTING)
     } finally Files.deleteIfExists(tmp)
+    force(Paths.get(dir))
+  }
+
+  /** Force a directory's entries (new, renamed or replaced files) to the
+    * device, as `fsync` on a directory does on Linux.
+    */
+  private def force(dir: Path): Unit = {
+    val ch = FileChannel.open(dir, StandardOpenOption.READ)
+    try ch.force(true) finally ch.close()
   }
 
   def read(dir: String): MptManifest = {

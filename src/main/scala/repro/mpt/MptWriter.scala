@@ -15,10 +15,17 @@ import org.apache.spark.sql.types.StructType
   * are the worst case. Stats are computed in the writing task, exactly like
   * an engine computes SMAs while flushing a micro-partition.
   *
+  * Each micro-partition is one partition of the arranged DataFrame's
+  * exchange, but a write runs one Spark task per core, not one per
+  * micro-partition: a task reads its share of the exchange's partitions one
+  * after another, each straight from Spark's internal rows into its own
+  * data file.
+  *
   * Rewriting a table is crash-safe: data files get names no earlier write
   * used, the manifest is replaced atomically, and only then are the data
   * files it does not reference deleted. Until the swap the old manifest and
-  * its files stay intact.
+  * its files stay intact. Data files are forced to the device before the
+  * manifest that names them is written, so the swap is durable too.
   */
 object MptWriter {
 
@@ -55,13 +62,16 @@ object MptWriter {
     val writeId = java.util.UUID.randomUUID().toString.take(8)
     // Local mode: executor threads share the driver's filesystem, so tasks
     // write their partition file directly and return only the stats.
-    val entries = arranged.rdd.mapPartitionsWithIndex { (idx, rows) =>
+    val rows = arranged.queryExecution.toRdd
+    // An empty exchange may have no partitions; coalesce needs at least one.
+    val tasks = math.max(1, math.min(rows.getNumPartitions, df.sparkSession.sparkContext.defaultParallelism))
+    val entries = rows.mapPartitionsWithIndex { (idx, part) =>
       val file = f"part-$idx%05d-$writeId.${MptDataFile.Extension}"
       val w = new MptDataFile.Writer(schema)
-      rows.foreach(w.add)
+      part.foreach(w.add)
       w.writeTo(new File(dir, file))
       Iterator.single(MptPartitionEntry(idx, file, w.rowCount, w.stats))
-    }.collect().sortBy(_.id).toVector
+    }.coalesce(tasks).collect().sortBy(_.id).toVector
 
     // Re-number densely (some layouts may produce empty partitions).
     val manifest = MptManifest(schema, entries.zipWithIndex.map { case (e, i) => e.copy(id = i) })
