@@ -1,0 +1,115 @@
+package repro.core
+
+import repro.meta.Scalar
+
+/** §5.1–§5.2 — the top-k boundary: a heap of the k best order values seen
+  * so far, each with a caller's tag, whose worst value is the *boundary*. A
+  * micro-partition whose best value is strictly worse than the boundary, and
+  * a row whose value is, cannot reach the top k.
+  *
+  * The boundary is active (non-null) only once it is proven that k rows at or
+  * above it exist: when the heap holds k values, or from the start when an
+  * upfront boundary `init` was derived from fully-matching partitions (§5.4).
+  * It only ever tightens, to the stricter of its current value and the k-th
+  * best value held. NULL order values sort last: a partition without a range
+  * and a NULL row count as below an active boundary. Values of another type
+  * family than the boundary compare as ties: they are admitted and prune
+  * nothing.
+  *
+  * `observe` is synchronized, so the scan tasks of one query can share a
+  * heap; `boundary` is readable without the lock. Storage grows with the
+  * values admitted, never to k up front: k may exceed the table many times.
+  */
+final class BoundaryHeap(val k: Int, val desc: Boolean, init: Scalar) {
+
+  // A binary heap in query order: slot 0 holds the worst value kept.
+  private var values = new Array[Scalar](math.max(0, math.min(k, 16)))
+  private var tags = new Array[Long](values.length)
+  private var size = 0
+  @volatile private var current: Scalar = init
+
+  /** The active boundary; null while inactive. */
+  def boundary: Scalar = current
+
+  /** Record a non-NULL order value tagged `tag`. A value strictly worse than
+    * the boundary is not admitted.
+    */
+  def observe(value: Scalar, tag: Long): Unit = synchronized {
+    if (k > 0 && !worse(value, current)) {
+      if (size < k) {
+        if (size == values.length) {
+          values = java.util.Arrays.copyOf(values, math.min(k, 2 * size))
+          tags = java.util.Arrays.copyOf(tags, values.length)
+        }
+        values(size) = value
+        tags(size) = tag
+        size += 1
+        siftUp()
+      } else if (worse(values(0), value)) {
+        values(0) = value
+        tags(0) = tag
+        siftDown()
+      }
+      if (size == k && (current == null || worse(current, values(0)))) current = values(0)
+    }
+  }
+
+  /** Can a partition whose best order value is `best` (null: it has no
+    * range, e.g. an all-NULL order column) be skipped?
+    */
+  def shouldSkip(best: Scalar): Boolean = {
+    val b = current
+    b != null && (best == null || worse(best, b))
+  }
+
+  /** Can a row with order value `value` (null: SQL NULL) be dropped? */
+  def shouldSuppress(value: Scalar): Boolean = shouldSkip(value)
+
+  /** The kept values with their tags, best first, as `f(value, tag)`; the
+    * heap is empty afterwards.
+    */
+  def drain[A](f: (Scalar, Long) => A): List[A] = synchronized {
+    var out = List.empty[A]
+    while (size > 0) { // worst first
+      out = f(values(0), tags(0)) :: out
+      size -= 1
+      values(0) = values(size)
+      tags(0) = tags(size)
+      values(size) = null
+      siftDown()
+    }
+    out
+  }
+
+  /** Is `a` strictly worse than `b` in query order (false when either is
+    * null or they are incomparable)?
+    */
+  private def worse(a: Scalar, b: Scalar): Boolean =
+    a != null && b != null && Scalar.compare(a, b).exists(c => if (desc) c < 0 else c > 0)
+
+  private def swap(i: Int, j: Int): Unit = {
+    val v = values(i); values(i) = values(j); values(j) = v
+    val t = tags(i); tags(i) = tags(j); tags(j) = t
+  }
+
+  /** Moves the last value up to its place. */
+  private def siftUp(): Unit = {
+    var i = size - 1
+    while (i > 0 && worse(values(i), values((i - 1) / 2))) {
+      swap(i, (i - 1) / 2)
+      i = (i - 1) / 2
+    }
+  }
+
+  /** Moves the value in slot 0 down to its place. */
+  private def siftDown(): Unit = {
+    var i = 0
+    var done = false
+    while (!done) {
+      val l = 2 * i + 1
+      val w = if (l + 1 < size && worse(values(l + 1), values(l))) l + 1 else l
+      if (l < size && worse(values(w), values(i))) { swap(i, w); i = w }
+      else done = true
+    }
+  }
+}

@@ -12,9 +12,10 @@ trait PartitionData extends Columns {
 
 /** §5 — runtime pruning for top-k queries.
   *
-  * The smallest element of the k-sized heap is the *boundary value*; before
-  * scanning a micro-partition its metadata is compared against the boundary
-  * and the partition is skipped when none of its rows could enter the heap.
+  * The smallest element of the k-sized heap ([[BoundaryHeap]]) is the
+  * *boundary value*; before scanning a micro-partition its metadata is
+  * compared against the boundary and the partition is skipped when none of
+  * its rows could enter the heap.
   * Enhancements implemented here:
   *
   *  - §5.3 processing order: scan partitions in descending max order (for
@@ -83,11 +84,6 @@ object TopKPruner {
           filtered: FilterPruneResult, q: TopKQuery,
           qualifier: PartitionData => (Int => Boolean)): TopKResult = {
     val sign = if (q.desc) 1 else -1
-    // Total order on candidate values; within a column all values share a
-    // type family, so compare never returns None on real data.
-    val better: (Scalar, Scalar) => Boolean = (a, b) =>
-      Scalar.compare(a, b).exists(c => c * sign > 0)
-
     val ordered = q.strategy match {
       case OrderStrategy.RandomOrder(seed) =>
         new scala.util.Random(seed).shuffle(indices.toSeq).toArray
@@ -97,32 +93,16 @@ object TopKPruner {
 
     val initBoundary = if (q.upfrontInit) upfrontBoundary(filtered.stats, filtered.fullyIndices, q) else None
     val orderZones = stats.column(q.orderCol)
-
-    // Min-heap (DESC) keyed on the order value: head is the current boundary.
-    implicit val heapOrd: Ordering[HeapRow] = new Ordering[HeapRow] {
-      def compare(a: HeapRow, b: HeapRow): Int = {
-        val c = Scalar.compare(a.orderValue.get, b.orderValue.get).getOrElse(0)
-        -c * sign // PriorityQueue is a max-heap; invert so head = worst kept
-      }
-    }
-    val heap = mutable.PriorityQueue.empty[HeapRow]
+    // Each value is tagged with its partition id (high half) and row index.
+    val heap = new BoundaryHeap(q.k, q.desc, initBoundary.orNull)
     val nullRows = mutable.ArrayBuffer.empty[HeapRow] // NULLS LAST backfill
-    var boundary: Scalar = initBoundary.orNull
 
     var scanned = 0
     var skipped = 0
     var rowsScanned = 0L
 
     ordered.foreach { i =>
-      val canSkip = boundary != null && {
-        val heapFull = heap.size >= q.k
-        // With an initialized boundary, k qualifying rows at or above the
-        // boundary are guaranteed to exist, so the comparison is valid even
-        // before the heap fills (§5.4). Without it, only a full heap prunes.
-        val active = heapFull || initBoundary.isDefined
-        active && !mayReach(orderZones, i, q.desc, boundary)
-      }
-      if (canSkip) skipped += 1
+      if (heap.shouldSkip(best(orderZones, i, q.desc))) skipped += 1
       else {
         scanned += 1
         val p = part(i)
@@ -130,25 +110,17 @@ object TopKPruner {
         val pred = q.pred.map(RowEval.bind(_, p)).orNull
         val qualifies = if (qualifier == null) null else qualifier(p)
         val col = p.column(q.orderCol)
+        val id = stats.metas(i).id
         var r = 0
         while (r < p.rowCount) {
           if ((pred == null || pred.passes(r)) && (qualifies == null || qualifies(r))) {
             if (col == null || col.isNull(r)) {
-              if (nullRows.size < q.k) nullRows += HeapRow(None, stats.metas(i).id, r)
+              if (nullRows.size < q.k) nullRows += HeapRow(None, id, r)
             } else {
-              // Not strictly worse than the boundary: compare(v, b) * sign >= 0.
-              val admit = boundary == null || {
-                val c = col.compareAt(r, boundary)
-                c == ColumnVec.NC || c * sign >= 0 || heap.size < q.k && initBoundary.isEmpty
-              }
-              if (admit) {
-                heap.enqueue(HeapRow(Some(col.get(r)), stats.metas(i).id, r))
-                if (heap.size > q.k) heap.dequeue()
-                if (heap.size >= q.k) {
-                  val heapBoundary = heap.head.orderValue.get
-                  if (boundary == null || !better(boundary, heapBoundary)) boundary = heapBoundary
-                }
-              }
+              // Boxed only when not strictly worse than the boundary.
+              val boundary = heap.boundary
+              if (boundary == null || { val c = col.compareAt(r, boundary); c == ColumnVec.NC || c * sign >= 0 })
+                heap.observe(col.get(r), id.toLong << 32 | r)
             }
           }
           r += 1
@@ -156,9 +128,8 @@ object TopKPruner {
       }
     }
 
-    val sortedRows = heap.dequeueAll.reverse // best first
-    val result = (sortedRows ++ nullRows).take(q.k)
-    TopKResult(result, ordered.length, scanned, skipped, rowsScanned, initBoundary)
+    val kept = heap.drain((v, tag) => HeapRow(Some(v), (tag >>> 32).toInt, tag.toInt))
+    TopKResult((kept ++ nullRows).take(q.k), ordered.length, scanned, skipped, rowsScanned, initBoundary)
   }
 
   /** §5.3 processing order of the partitions of `stats` at `indices`: best
@@ -206,20 +177,12 @@ object TopKPruner {
     order.map(_.intValue)
   }
 
-  /** May partition `i` of `stats` hold a row not strictly worse than
-    * `boundary`? Not if its best value is strictly worse, or its order
-    * column has no range (all NULL, empty or absent).
+  /** The best value of partition `i` in its order column's zone maps `col`
+    * (its max for DESC, min for ASC); null when the column has no range there
+    * (all NULL, empty or absent).
     */
-  def mayReach(stats: TableStats, i: Int, q: TopKQuery, boundary: Scalar): Boolean =
-    mayReach(stats.column(q.orderCol), i, q.desc, boundary)
-
-  private def mayReach(col: ColumnArrays, i: Int, desc: Boolean, boundary: Scalar): Boolean =
-    col.state(i) == ColumnArrays.Ranged &&
-      !Scalar.compare(boundary, col.bound(i, max = desc)).exists(c => if (desc) c > 0 else c < 0)
-
-  /** [[mayReach]] of one partition record. */
-  def mayReach(meta: PartitionMeta, q: TopKQuery, boundary: Scalar): Boolean =
-    mayReach(TableStats.of(Vector(meta)), 0, q, boundary)
+  def best(col: ColumnArrays, i: Int, desc: Boolean): Scalar =
+    if (col.state(i) == ColumnArrays.Ranged) col.bound(i, max = desc) else null
 
   /** §5.4 — initial boundary from the metadata of the fully-matching
     * partitions of `stats` at `fullyIndices`: the stricter of two

@@ -34,9 +34,10 @@ import repro.meta.Scalar
   *    output.
   *  - `SupportsPushDownTopN` → top-k pruning (§5): partitions reordered by
   *    boundary potential (§5.3), statically pruned with the upfront
-  *    boundary (§5.4), and skipped at *runtime* via the shared
-  *    [[BoundaryRegistry]] as readers tighten the boundary (§5.2); a reader
-  *    checks it before each micro-partition of its task.
+  *    boundary (§5.4), and skipped at *runtime* via the scan's shared
+  *    [[BoundaryHeap]], held in its [[ScanMetrics]], as readers tighten the
+  *    boundary (§5.2); a reader checks it before each micro-partition of its
+  *    task.
   *
   * Usage: `spark.read.format("repro.mpt.MptTableProvider").load(dir)`.
   */
@@ -175,30 +176,25 @@ final class MptScanBuilder(dir: String, manifest: MptManifest)
     readSchema = requiredSchema
 
   override def build(): Scan = {
-    val stats = new ScanMetrics.Stats(dir)
+    val (ordered, heap) = topK match {
+      case None => (scan, null)
+      case Some(plan) =>
+        val q = TopKPruner.TopKQuery(plan.orderCol, plan.k, plan.desc)
+        val heap = new BoundaryHeap(plan.k, plan.desc, TopKPruner.upfrontBoundary(manifest.stats, fully, q).orNull)
+        // §5.4 static pruning: below the upfront boundary nothing can qualify.
+        val zones = manifest.stats.column(plan.orderCol)
+        val statically = scan.filterNot(i => heap.shouldSkip(TopKPruner.best(zones, i, plan.desc)))
+        // §5.3 processing order: best boundary potential first; all-null last.
+        (TopKPruner.processingOrder(manifest.stats, statically, plan.orderCol, plan.desc), heap)
+    }
+    val stats = new ScanMetrics.Stats(dir, heap)
     stats.totalPartitions = manifest.partitions.size
     stats.afterFilterPruning = afterFilterCount
     stats.afterLimitPruning = afterLimitCount
     stats.fullyMatching = fully.length
     stats.limitOutcome = limitOutcomeStr
-
-    val (ordered, scanId) = topK match {
-      case None => (scan, BoundaryRegistry.newScanId())
-      case Some(plan) =>
-        stats.topKPushed = true
-        val q = TopKPruner.TopKQuery(plan.orderCol, plan.k, plan.desc)
-        val init = TopKPruner.upfrontBoundary(manifest.stats, fully, q)
-        // §5.4 static pruning: below the upfront boundary nothing can qualify.
-        val statically = init match {
-          case None    => scan
-          case Some(b) => scan.filter(i => TopKPruner.mayReach(manifest.stats, i, q, b))
-        }
-        // §5.3 processing order: best boundary potential first; all-null last.
-        val ordered = TopKPruner.processingOrder(manifest.stats, statically, plan.orderCol, plan.desc)
-        (ordered, BoundaryRegistry.create(plan.k, plan.desc, init))
-    }
     stats.afterTopKStatic = ordered.length
-    ScanMetrics.register(scanId, stats)
+    val scanId = ScanMetrics.register(stats)
     val certified = new Array[Boolean](manifest.partitions.size)
     fully.foreach(i => certified(i) = true)
     new MptScan(dir, manifest.schema, readSchema, ordered.toVector.map(manifest.partitions),
@@ -356,11 +352,11 @@ final class MptReaderFactory(fullSchema: StructType, required: StructType,
     */
   private def read(p: MptInputPartition): Option[(ColumnarBatch, Seq[ColumnVector])] = {
     val stats = ScanMetrics.forScan(p.scanId)
-    val state = topK.flatMap(_ => BoundaryRegistry.get(p.scanId))
+    val heap = if (topK.isEmpty) null else stats.map(_.heap).orNull
 
     // Runtime top-k pruning (§5.2): consult the shared boundary *now*, after
     // earlier micro-partitions may have tightened it beyond the plan-time value.
-    if (state.exists(_.shouldSkipPartition(p.orderBest))) {
+    if (heap != null && heap.shouldSkip(p.orderBest.orNull)) {
       stats.foreach(_.runtimeSkipped.incrementAndGet())
       return None
     }
@@ -374,9 +370,9 @@ final class MptReaderFactory(fullSchema: StructType, required: StructType,
     val filter = if (p.fullyMatching) None else rowFilter
     // The columns the filter and the top-k boundary read, whole.
     val probeCols = (if (filter.isDefined) filterCols else Set.empty[String]) ++
-      state.flatMap(_ => topK.map(_.orderCol))
+      (if (heap == null) None else topK.map(_.orderCol))
     val probes = probeCols.iterator.map(c => c -> decode(c, null)).toMap
-    val sel = select(chunks.rowCount, probes, filter, state)
+    val sel = select(chunks.rowCount, probes, filter, heap)
     val n = if (sel == null) chunks.rowCount else sel.length
     if (n == 0) {
       probes.values.foreach(_.close())
@@ -397,8 +393,8 @@ final class MptReaderFactory(fullSchema: StructType, required: StructType,
     * bound to its vector once.
     */
   private def select(rows: Int, probes: Map[String, ColumnVector], filter: Option[PExpr],
-                     state: Option[BoundaryRegistry.State]): Array[Int] = {
-    if (filter.isEmpty && state.isEmpty) return null
+                     heap: BoundaryHeap): Array[Int] = {
+    if (filter.isEmpty && heap == null) return null
     val values = new java.util.HashMap[String, Int => Option[Scalar]]()
     probes.foreach { case (c, v) => values.put(c, MptReaderFactory.scalars(v, fullSchema(c).dataType)) }
     var row = 0
@@ -407,16 +403,15 @@ final class MptReaderFactory(fullSchema: StructType, required: StructType,
       if (f == null) None else f(row)
     }
     val pred = filter.orNull
-    val boundary = state.orNull
-    val orderAt = if (boundary == null) null else values.get(topK.get.orderCol)
+    val orderAt = if (heap == null) null else values.get(topK.get.orderCol)
     val sel = new Array[Int](rows)
     var n = 0
     while (row < rows) {
       var keep = pred == null || PExprEval.passes(pred, lookup)
-      if (keep && boundary != null) {
-        val v = orderAt(row)
-        v.foreach(boundary.observe) // tighten the boundary first …
-        keep = !boundary.shouldSuppressRow(v) // … then drop rows provably out of top-k
+      if (keep && heap != null) {
+        val v = orderAt(row).orNull
+        if (v != null) heap.observe(v, 0L) // tighten the boundary first …
+        keep = !heap.shouldSuppress(v) // … then drop rows provably out of top-k
       }
       if (keep) { sel(n) = row; n += 1 }
       row += 1

@@ -306,35 +306,25 @@ object SimExecutor {
       buildFilterStat: Option[Ratio], config: SimConfig): QueryReport = {
     val ob = q.orderBy.get
     val g = q.groupBy.get
-    val k = q.limit.get.toInt
-    val sign = if (ob.desc) 1 else -1
-    implicit val ord: Ordering[Scalar] = (a, b) => Scalar.compare(a, b).getOrElse(0) * sign
-
     // Process partitions best-potential-first (§5.3 applies unchanged);
     // stats-less (all-null key) partitions go last.
     val orderedIds = TopKPruner.processingOrder(probe.stats, scanIds, g, ob.desc)
+    val keyZones = probe.stats.column(g)
 
-    val keys = mutable.TreeSet.empty[Scalar](ord) // ascending in "goodness"
+    // The k best distinct keys. A key is observed when first seen:
+    // observing a key seen before cannot change the k best distinct keys.
+    val heap = new BoundaryHeap(q.limit.get.toInt, ob.desc, null)
     // counts keeps every seen key: an evicted key could re-enter later
     // (boundary ties) and must not lose earlier rows.
     val counts = new GroupCounts
-    // A key enters the top-k set when first seen: inserting a key seen
-    // before cannot change the k best distinct keys.
-    def firstSeen(key: Scalar): Unit = {
-      keys += key
-      if (keys.size > k) keys -= keys.head
-    }
     var scanned = 0
     var skipped = 0
     var rowsScanned = 0L
 
     orderedIds.foreach { id =>
-      val p = probe.partitions(id)
-      val best = p.meta.col(g).flatMap(s => if (ob.desc) s.max else s.min)
-      val boundary = if (keys.size >= k) Some(keys.head) else None
-      val skip = boundary.exists(b => best.forall(v => ord.lt(v, b)))
-      if (skip) skipped += 1
+      if (heap.shouldSkip(TopKPruner.best(keyZones, id, ob.desc))) skipped += 1
       else {
+        val p = probe.partitions(id)
         scanned += 1
         rowsScanned += p.rowCount
         val pass = rowFilter(p, q.pred, qualifier)
@@ -343,19 +333,19 @@ object SimExecutor {
           case c: ColumnVec.Longs =>
             var r = 0
             while (r < p.rowCount) {
-              if (!c.isNull(r) && pass(r) && counts.addLong(c.values(r))) firstSeen(Scalar.LongV(c.values(r)))
+              if (!c.isNull(r) && pass(r) && counts.addLong(c.values(r))) heap.observe(Scalar.LongV(c.values(r)), 0L)
               r += 1
             }
           case c =>
             var r = 0
             while (r < p.rowCount) {
-              if (!c.isNull(r) && pass(r) && counts.add(c.get(r))) firstSeen(c.get(r))
+              if (!c.isNull(r) && pass(r) && counts.add(c.get(r))) heap.observe(c.get(r), 0L)
               r += 1
             }
         }
       }
     }
-    val resultKeys = keys.toSeq.reverse // best first
+    val resultKeys = heap.drain((key, _) => key) // best first
     val rows =
       if (config.materialize) resultKeys.map(key => IndexedSeq(key, Scalar.LongV(counts(key))))
       else Seq.empty

@@ -9,8 +9,9 @@ import repro.meta.{ColumnStats, PartitionMeta, Scalar, TableStats}
 /** The §5.3 processing order ([[TopKPruner.processingOrder]]) is exactly the
   * order of a stable sort by the boundary-potential comparator over the
   * partition records, which both execution paths used before it; and the
-  * index forms of the §5.4 upfront boundary and of the boundary test equal
-  * the record forms they replace.
+  * index forms of the §5.4 upfront boundary and of the boundary test (a
+  * partition's [[TopKPruner.best]] value against [[BoundaryHeap.shouldSkip]])
+  * equal the record forms they replace.
   */
 class ProcessingOrderSpec extends AnyFunSuite {
 
@@ -74,7 +75,9 @@ class ProcessingOrderSpec extends AnyFunSuite {
 
   // ---- top-k metadata by index ----------------------------------------------
 
-  /** The record form of `TopKPruner.mayReach` that the index form replaces. */
+  /** The record form of the boundary test: may a partition hold a row not
+    * strictly worse than `boundary`?
+    */
   private def recordMayReach(meta: PartitionMeta, q: TopKPruner.TopKQuery, boundary: Scalar): Boolean =
     recordPotential(meta, q).exists(best => !Scalar.compare(boundary, best).exists(c => if (q.desc) c > 0 else c < 0))
 
@@ -150,10 +153,11 @@ class ProcessingOrderSpec extends AnyFunSuite {
         val want = recordUpfrontBoundary(fully.toSeq.map(metas), q)
         assert(canon(TopKPruner.upfrontBoundary(stats, fully, q)) == canon(want), s"fully=${fully.toSeq.map(metas)} k=$k")
         assert(canon(TopKPruner.upfrontBoundary(fully.toSeq.map(metas), q)) == canon(want))
+        val heap = new BoundaryHeap(k, desc, boundary)
+        def mayReach(stats: TableStats, i: Int) = !heap.shouldSkip(TopKPruner.best(stats.column("x"), i, desc))
         metas.indices.foreach { i =>
-          assert(TopKPruner.mayReach(stats, i, q, boundary) == recordMayReach(metas(i), q, boundary),
-                 s"${metas(i)} against $boundary")
-          assert(TopKPruner.mayReach(metas(i), q, boundary) == recordMayReach(metas(i), q, boundary))
+          assert(mayReach(stats, i) == recordMayReach(metas(i), q, boundary), s"${metas(i)} against $boundary")
+          assert(mayReach(TableStats.of(Vector(metas(i))), 0) == recordMayReach(metas(i), q, boundary))
         }
       }
     }

@@ -142,4 +142,38 @@ class TopKPrunerSpec extends AnyFunSuite {
     assert(a.partitionsScanned == b.partitionsScanned)
     assert(values(a) == values(b))
   }
+
+  test("LIMIT 0 returns no rows") {
+    val t = TestTables.table("t", 200, 4, MemTable.Layout.Random(5), nullEvery = 7)
+    for (desc <- Seq(true, false); upfront <- Seq(true, false)) {
+      val r = run(t, 0, desc, upfront = upfront)
+      assert(r.rows.isEmpty)
+    }
+  }
+
+  /** A table whose double column `d` and string column `s` hold few distinct
+    * values, so that the k-th value of a top-k is tied.
+    */
+  private def tiedTable(layout: MemTable.Layout): MemTable = {
+    val rows = (0 until 600).map { i =>
+      Array[Scalar](LongV(i.toLong), DoubleV((i * 7 % 13) / 2.0), StringV(TestTables.vocab(i * 3 % 5)))
+    }
+    MemTable.build("t", IndexedSeq("id", "d", "s"), rows, 12, layout)
+  }
+
+  for (col <- Seq("d", "s")) {
+    test(s"top-k over a ${if (col == "d") "double" else "string"} column with ties at the k-th value matches brute force") {
+      for (layout <- Seq(MemTable.Layout.Sorted(col), MemTable.Layout.Random(4)); desc <- Seq(true, false);
+           k <- Seq(1, 60, 130)) {
+        val t = tiedTable(layout)
+        val better: (Scalar, Scalar) => Boolean =
+          (a, b) => Scalar.compare(a, b).exists(c => if (desc) c > 0 else c < 0)
+        val want = t.partitions.flatMap(p => (0 until p.rowCount).flatMap(p.lookupAt(_)(col))).sortWith(better).take(k)
+        val r = TopKPruner.run(t.partitions, FilterPruner.noPredicate(t.metas), TopKQuery(col, k, desc))
+        assert(r.rows.flatMap(_.orderValue) == want, s"$layout desc=$desc k=$k")
+        // Each kept row holds the order value it is reported with.
+        r.rows.foreach(h => assert(h.orderValue == t.partition(h.partitionId).lookupAt(h.rowIndex)(col)))
+      }
+    }
+  }
 }

@@ -56,73 +56,3 @@ class MptCodecSpec extends AnyFunSuite {
       assert(MptSchema.typeOf(MptSchema.typeName(dt)) == dt)
   }
 }
-
-class BoundaryRegistrySpec extends AnyFunSuite {
-  import Scalar._
-
-  test("boundary activates only when the heap fills (no upfront init)") {
-    val id = BoundaryRegistry.create(3, desc = true, None)
-    val st = BoundaryRegistry.get(id).get
-    st.observe(LongV(10)); st.observe(LongV(20))
-    assert(st.boundary.isEmpty)
-    assert(!st.shouldSkipPartition(Some(LongV(1))))
-    st.observe(LongV(30))
-    assert(st.boundary.contains(LongV(10)))
-    assert(st.shouldSkipPartition(Some(LongV(9))))
-    assert(!st.shouldSkipPartition(Some(LongV(10)))) // ties are kept
-    BoundaryRegistry.remove(id)
-  }
-
-  test("boundary tightens monotonically") {
-    val id = BoundaryRegistry.create(2, desc = true, None)
-    val st = BoundaryRegistry.get(id).get
-    Seq(1L, 2L, 3L, 4L, 5L).foreach(v => st.observe(LongV(v)))
-    assert(st.boundary.contains(LongV(4)))
-    st.observe(LongV(0)) // worse value cannot loosen the boundary
-    assert(st.boundary.contains(LongV(4)))
-    BoundaryRegistry.remove(id)
-  }
-
-  test("upfront init activates the boundary immediately") {
-    val id = BoundaryRegistry.create(5, desc = true, Some(LongV(100)))
-    val st = BoundaryRegistry.get(id).get
-    assert(st.shouldSkipPartition(Some(LongV(99))))
-    assert(!st.shouldSkipPartition(Some(LongV(100))))
-    // Rows below the init never enter the heap and never loosen it.
-    Seq(1L, 2L, 3L, 4L, 5L).foreach(v => st.observe(LongV(v)))
-    assert(st.boundary.contains(LongV(100)))
-    BoundaryRegistry.remove(id)
-  }
-
-  test("ASC ordering flips the comparison direction") {
-    val id = BoundaryRegistry.create(2, desc = false, None)
-    val st = BoundaryRegistry.get(id).get
-    Seq(10L, 20L, 30L).foreach(v => st.observe(LongV(v)))
-    assert(st.boundary.contains(LongV(20)))
-    assert(st.shouldSkipPartition(Some(LongV(21)))) // min 21 > boundary 20: skip
-    assert(!st.shouldSkipPartition(Some(LongV(19))))
-    BoundaryRegistry.remove(id)
-  }
-
-  test("all-null partitions are skippable once a boundary exists") {
-    val id = BoundaryRegistry.create(1, desc = true, None)
-    val st = BoundaryRegistry.get(id).get
-    assert(!st.shouldSkipPartition(None)) // no boundary yet: must scan
-    st.observe(LongV(5))
-    assert(st.shouldSkipPartition(None)) // NULLS LAST cannot displace
-    assert(st.shouldSuppressRow(None))
-    BoundaryRegistry.remove(id)
-  }
-
-  test("concurrent observers agree on the final boundary") {
-    val id = BoundaryRegistry.create(10, desc = true, None)
-    val st = BoundaryRegistry.get(id).get
-    val threads = (0 until 8).map { t =>
-      new Thread(() => (0 until 1000).foreach(i => st.observe(LongV((t * 1000 + i).toLong))))
-    }
-    threads.foreach(_.start()); threads.foreach(_.join())
-    // 8000 values 0..7999, k=10 → boundary = 7990.
-    assert(st.boundary.contains(LongV(7990)))
-    BoundaryRegistry.remove(id)
-  }
-}

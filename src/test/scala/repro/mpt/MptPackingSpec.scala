@@ -13,7 +13,7 @@ import org.scalacheck.rng.Seed
 
 import repro.PropHelper.forAllSeeded
 import repro.SparkSpec
-import repro.core.{FilterPruner, FilterTranslator, PExpr}
+import repro.core.{BoundaryHeap, FilterPruner, FilterTranslator, PExpr}
 import repro.meta.Scalar
 import repro.meta.Scalar.LongV
 
@@ -68,13 +68,12 @@ class MptPackingSpec extends SparkSpec {
     val idx = m.schema.fieldIndex("id")
     // §5.3 order: highest maximum first. No upfront boundary, so only the
     // runtime boundary can skip.
-    val scanId = BoundaryRegistry.create(5, desc = true, None)
-    val stats = new ScanMetrics.Stats(dir)
-    ScanMetrics.register(scanId, stats)
+    val stats = new ScanMetrics.Stats(dir, new BoundaryHeap(5, desc = true, null))
+    val scanId = ScanMetrics.register(stats)
     val parts = m.partitions.sortBy(e => -e.stats(idx).max.get.asInstanceOf[LongV].v)
       .map(e => MptInputPartition(dir, e.file, e.id, e.stats(idx).max, scanId))
     val factory = new MptReaderFactory(m.schema, m.schema, None, Some(TopKPlan("id", desc = true, 5)))
-    val got = try ids(factory, MptTaskPartition(parts)) finally BoundaryRegistry.remove(scanId)
+    val got = ids(factory, MptTaskPartition(parts))
     assert(got.sorted.takeRight(5) == (995L to 999L))
     assert(stats.filesOpened.get == 1, s"$stats")
     assert(stats.runtimeSkipped.get == parts.size - 1, s"$stats")

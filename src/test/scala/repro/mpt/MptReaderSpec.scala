@@ -12,7 +12,7 @@ import org.scalacheck.rng.Seed
 
 import repro.PropHelper.forAllSeeded
 import repro.SparkSpec
-import repro.core.{FilterTranslator, PExprEval}
+import repro.core.{BoundaryHeap, FilterTranslator, PExprEval}
 
 /** The columnar reader against the row-level semantics it must keep: the
   * rows it emits under a pushed filter are exactly those [[PExprEval]]
@@ -90,11 +90,10 @@ class MptReaderSpec extends SparkSpec {
     val l = manifest.schema.fieldIndex("l")
     /** (id, l) of every row one reader per partition emits, under a fresh boundary. */
     def run(read: (MptReaderFactory, MptInputPartition) => Seq[(Long, Option[Long])]) = {
-      val scanId = BoundaryRegistry.create(5, desc = true, None)
+      val scanId = ScanMetrics.register(new ScanMetrics.Stats(dir, new BoundaryHeap(5, desc = true, null)))
       val factory = new MptReaderFactory(manifest.schema, manifest.schema, None,
                                          Some(TopKPlan("l", desc = true, 5)))
-      try partitions(scanId, _.stats(l).max).flatMap(read(factory, _))
-      finally BoundaryRegistry.remove(scanId)
+      partitions(scanId, _.stats(l).max).flatMap(read(factory, _))
     }
     val viaBatches = run { (f, p) =>
       val r = f.createColumnarReader(p)

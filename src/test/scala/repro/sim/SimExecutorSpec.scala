@@ -152,6 +152,50 @@ class SimExecutorSpec extends SparkSpec {
     assert(r.topk.exists(_.prunedAny))
   }
 
+  /** GROUP BY `g` ORDER BY `g` LIMIT `k` by brute force: (key, count) of
+    * the k best keys, the NULL key last (null).
+    */
+  private def groupTopK(t: MemTable, g: String, desc: Boolean, k: Int): Seq[(Scalar, Scalar)] = {
+    val counts = t.partitions.flatMap(p => (0 until p.rowCount).map(p.lookupAt(_)(g)))
+      .groupBy(identity).toSeq.map { case (key, rows) => (key, rows.size.toLong) }
+    val (keyed, nullKey) = counts.partition(_._1.isDefined)
+    val sorted = keyed.sortWith((a, b) => Scalar.compare(a._1.get, b._1.get).exists(c => if (desc) c > 0 else c < 0))
+    (sorted ++ nullKey).take(k).map { case (key, n) => (key.orNull, LongV(n)) }
+  }
+
+  private def groupTopKQuery(g: String, desc: Boolean, k: Int): QuerySpec =
+    QuerySpec(13, "t", None, groupBy = Some(g), orderBy = Some(OrderBy(g, desc)), limit = Some(k.toLong))
+
+  test("group-by top-k over a string key matches a brute-force group-and-sort") {
+    for (layout <- Seq(MemTable.Layout.Sorted("s"), MemTable.Layout.Random(3)); desc <- Seq(true, false)) {
+      val t = TestTables.table("t", 1500, 15, layout)
+      val r = SimExecutor.execute(catalogOf(t), groupTopKQuery("s", desc, 3), cfg)
+      assert(r.resultRows.map(row => (row(0), row(1))) == groupTopK(t, "s", desc, 3), s"$layout desc=$desc")
+    }
+  }
+
+  test("group-by top-k over a string key column with NULLs matches a brute-force group-and-sort") {
+    val vocab = (0 until 12).map(i => f"k$i%02d")
+    val rows = (0 until 1200).map { i =>
+      Array[Scalar](LongV(i.toLong), if (i % 4 == 0) null else StringV(vocab(i * 7 % vocab.size)))
+    }
+    for (layout <- Seq(MemTable.Layout.Sorted("s"), MemTable.Layout.Random(5)); desc <- Seq(true, false)) {
+      val t = MemTable.build("t", IndexedSeq("id", "s"), rows, 12, layout)
+      // k below the number of non-NULL keys: the NULL group, last, is not in the result.
+      val r = SimExecutor.execute(catalogOf(t), groupTopKQuery("s", desc, 5), cfg)
+      assert(r.resultRows.map(row => (row(0), row(1))) == groupTopK(t, "s", desc, 5), s"$layout desc=$desc")
+    }
+  }
+
+  test("top-k with LIMIT 0 returns no rows, with and without GROUP BY") {
+    val t = TestTables.table("t", 1000, 10, MemTable.Layout.Sorted("v"), nullEvery = 9)
+    val plain = QuerySpec(14, "t", None, orderBy = Some(OrderBy("v", desc = true)), limit = Some(0))
+    for (q <- Seq(plain, groupTopKQuery("g", desc = true, 0), groupTopKQuery("s", desc = false, 0))) {
+      val r = SimExecutor.execute(catalogOf(t), q, cfg)
+      assert(r.resultCount == 0 && r.resultRows.isEmpty, s"$q")
+    }
+  }
+
   test("order by aggregate (unsupported shape) still answers correctly, no top-k pruning") {
     val t = TestTables.table("t", 1000, 10, MemTable.Layout.Sorted("g"))
     val q = QuerySpec(11, "t", None, groupBy = Some("g"),
