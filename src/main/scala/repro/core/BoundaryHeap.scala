@@ -27,6 +27,7 @@ final class BoundaryHeap(val k: Int, val desc: Boolean, init: Scalar) {
   private var tags = new Array[Long](values.length)
   private var size = 0
   @volatile private var current: Scalar = init
+  private val sign = if (desc) 1 else -1
 
   /** The active boundary; null while inactive. */
   def boundary: Scalar = current
@@ -62,8 +63,14 @@ final class BoundaryHeap(val k: Int, val desc: Boolean, init: Scalar) {
     b != null && (best == null || worse(best, b))
   }
 
-  /** Can a row with order value `value` (null: SQL NULL) be dropped? */
-  def shouldSuppress(value: Scalar): Boolean = shouldSkip(value)
+  /** Offer the non-NULL row `r` of `col`, tagged `tag`: compared with the
+    * boundary unboxed, it is observed unless strictly worse. True when the
+    * row can still reach the top k under the boundary as it stands after.
+    */
+  def offer(col: ColumnVec, r: Int, tag: Long): Boolean = {
+    def below = { val b = current; b != null && { val c = col.compareAt(r, b); c != ColumnVec.NC && c * sign < 0 } }
+    !below && { observe(col.get(r), tag); !below }
+  }
 
   /** The kept values with their tags, best first, as `f(value, tag)`; the
     * heap is empty afterwards.

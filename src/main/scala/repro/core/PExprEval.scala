@@ -5,11 +5,12 @@ import PExpr._
 
 /** Exact row-at-a-time evaluation of [[PExpr]] with SQL null semantics.
   *
-  * Used by the in-memory executor, by the DSv2 reader to apply accepted
-  * filters, and by property tests to certify the soundness of metadata
-  * pruning (a pruned partition must contain no row for which [[evalPred]]
-  * returns Some(true); a fully-matching partition must contain only such
-  * rows).
+  * The reference definition of row semantics: [[RowEval]], which both the
+  * simulator and the DSv2 reader bind, delegates to it every node it has no
+  * typed form for, and property tests compare [[RowEval]] and the reader
+  * with it and certify the soundness of metadata pruning with it (a pruned
+  * partition must contain no row for which [[evalPred]] returns Some(true);
+  * a fully-matching partition must contain only such rows).
   *
   * A row is a resolver from column name to `Option[Scalar]` (None = NULL).
   * Callers adapt their physical rows (Spark rows, typed arrays) with the

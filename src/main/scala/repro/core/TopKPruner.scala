@@ -77,13 +77,12 @@ object TopKPruner {
     * `part(i)` gives partition `i`'s rows. `qualifier(p)` says which rows of
     * a scanned partition `p` qualify beyond `q.pred` (null: every row); it
     * takes the place of `q.rowQualifier`. The predicate is bound to each
-    * scanned partition's columns once, and a row's order value is compared
-    * with the boundary unboxed; it is boxed only when the row enters the heap.
+    * scanned partition's columns once, and each qualifying non-NULL row is
+    * offered to the heap ([[BoundaryHeap.offer]]).
     */
   def run(stats: TableStats, indices: Array[Int], part: Int => PartitionData,
           filtered: FilterPruneResult, q: TopKQuery,
           qualifier: PartitionData => (Int => Boolean)): TopKResult = {
-    val sign = if (q.desc) 1 else -1
     val ordered = q.strategy match {
       case OrderStrategy.RandomOrder(seed) =>
         new scala.util.Random(seed).shuffle(indices.toSeq).toArray
@@ -116,12 +115,7 @@ object TopKPruner {
           if ((pred == null || pred.passes(r)) && (qualifies == null || qualifies(r))) {
             if (col == null || col.isNull(r)) {
               if (nullRows.size < q.k) nullRows += HeapRow(None, id, r)
-            } else {
-              // Boxed only when not strictly worse than the boundary.
-              val boundary = heap.boundary
-              if (boundary == null || { val c = col.compareAt(r, boundary); c == ColumnVec.NC || c * sign >= 0 })
-                heap.observe(col.get(r), id.toLong << 32 | r)
-            }
+            } else heap.offer(col, r, id.toLong << 32 | r)
           }
           r += 1
         }

@@ -161,13 +161,11 @@ final class MptScanBuilder(dir: String, manifest: MptManifest)
       case nr: NamedReference if nr.fieldNames().length == 1 => nr.fieldNames()(0)
       case _ => return false
     }
-    val colIdx = manifest.schema.fieldNames.indexOf(colName)
-    if (colIdx < 0) return false
+    if (!manifest.schema.fieldNames.contains(colName)) return false
     val desc = o.direction() == SortDirection.DESCENDING
     // Boundary pruning assumes nulls sort last; accept NULLS_FIRST only when
     // the column provably contains no nulls.
-    val totalNulls = manifest.partitions.map(_.stats(colIdx).nullCount).sum
-    if (o.nullOrdering() == NullOrdering.NULLS_FIRST && totalNulls > 0) return false
+    if (o.nullOrdering() == NullOrdering.NULLS_FIRST && manifest.stats.column(colName).nullCount.sum > 0) return false
     topK = Some(TopKPlan(colName, desc, limit))
     true
   }
@@ -195,10 +193,14 @@ final class MptScanBuilder(dir: String, manifest: MptManifest)
     stats.limitOutcome = limitOutcomeStr
     stats.afterTopKStatic = ordered.length
     val scanId = ScanMetrics.register(stats)
-    val certified = new Array[Boolean](manifest.partitions.size)
-    fully.foreach(i => certified(i) = true)
-    new MptScan(dir, manifest.schema, readSchema, ordered.toVector.map(manifest.partitions),
-                ordered.toVector.map(certified), rowFilter, topK, scanId)
+    val certified = fully.toSet
+    val parts = ordered.toVector.map { i =>
+      val e = manifest.partitions(i)
+      val best = topK.flatMap(p => Option(TopKPruner.best(manifest.stats.column(p.orderCol), i, p.desc)))
+      MptInputPartition(dir, e.file, e.id, best, scanId, certified(i))
+    }
+    new MptScan(dir, manifest.schema, readSchema, parts, ordered.iterator.map(manifest.stats.rowCount).sum,
+                rowFilter, topK)
   }
 }
 
@@ -215,22 +217,22 @@ final case class MptInputPartition(dir: String, file: String, partId: Int,
 /** One scan task: micro-partitions read one after another, in scan order. */
 final case class MptTaskPartition(parts: Vector[MptInputPartition]) extends InputPartition
 
-/** A planned mpt scan. Its micro-partitions, in scan order (§5.3 boundary
-  * potential under top-k, manifest order otherwise), are dealt round-robin
-  * to one task per core, so every task starts with one of the most
-  * promising micro-partitions.
+/** A planned mpt scan of `parts`, which hold `rows` rows. Its
+  * micro-partitions, in scan order (§5.3 boundary potential under top-k,
+  * manifest order otherwise), are dealt round-robin to one task per core, so
+  * every task starts with one of the most promising micro-partitions.
   */
 final class MptScan(dir: String, fullSchema: StructType, required: StructType,
-                    entries: Vector[MptPartitionEntry], fullyMatching: Vector[Boolean],
-                    rowFilter: Option[PExpr], topK: Option[TopKPlan],
-                    scanId: Long) extends Scan with Batch with SupportsReportStatistics {
+                    parts: Vector[MptInputPartition], rows: Long,
+                    rowFilter: Option[PExpr], topK: Option[TopKPlan])
+  extends Scan with Batch with SupportsReportStatistics {
 
   override def readSchema(): StructType = required
   override def toBatch: Batch = this
   override def description(): String = {
-    val tasks = math.min(entries.size, MptScan.parallelism)
-    val fully = fullyMatching.count(identity)
-    s"mpt scan of $dir: ${entries.size} micro-partitions in $tasks tasks, $fully fully matching " +
+    val tasks = math.min(parts.size, MptScan.parallelism)
+    val fully = parts.count(_.fullyMatching)
+    s"mpt scan of $dir: ${parts.size} micro-partitions in $tasks tasks, $fully fully matching " +
     s"(topK=$topK, filter=$rowFilter)"
   }
 
@@ -241,7 +243,7 @@ final class MptScan(dir: String, fullSchema: StructType, required: StructType,
     * until the row filter has run.
     */
   override def estimateStatistics(): Statistics = {
-    val size = entries.iterator.map(_.rowCount).sum * (8L + required.defaultSize)
+    val size = rows * (8L + required.defaultSize)
     new Statistics {
       override def sizeInBytes(): java.util.OptionalLong = java.util.OptionalLong.of(size)
       override def numRows(): java.util.OptionalLong = java.util.OptionalLong.empty()
@@ -250,17 +252,8 @@ final class MptScan(dir: String, fullSchema: StructType, required: StructType,
 
   /** Fails here, before any task runs, when a planned data file is missing. */
   override def planInputPartitions(): Array[InputPartition] = {
-    val orderIdx = topK.map(p => fullSchema.fieldNames.indexOf(p.orderCol))
-    val parts = entries.zip(fullyMatching).map { case (e, fully) =>
-      if (!new java.io.File(dir, e.file).isFile)
-        throw new java.io.FileNotFoundException(
-          s"mpt table $dir: data file ${e.file} of micro-partition ${e.id} is missing")
-      val best = (topK, orderIdx) match {
-        case (Some(p), Some(i)) => if (p.desc) e.stats(i).max else e.stats(i).min
-        case _                  => None
-      }
-      MptInputPartition(dir, e.file, e.id, best, scanId, fully)
-    }
+    for (p <- parts if !new java.io.File(dir, p.file).isFile) throw new java.io.FileNotFoundException(
+      s"mpt table $dir: data file ${p.file} of micro-partition ${p.partId} is missing")
     MptScan.pack(parts, MptScan.parallelism).toArray
   }
 
@@ -289,8 +282,10 @@ object MptScan {
   * A reader decodes only the columns it needs: the row filter's and the
   * top-k order column's first, to select the rows that pass the filter and
   * may still reach the top-k; then the `required` columns, for those rows.
-  * The filter is not evaluated on a fully-matching micro-partition.
-  * `createReader` is a row view over the same batches.
+  * The selection runs over typed [[Columns]] as the simulator's does: the
+  * filter is bound with [[RowEval]], and each order value is offered to the
+  * shared [[BoundaryHeap]]. The filter is not evaluated on a fully-matching
+  * micro-partition. `createReader` is a row view over the same batches.
   */
 final class MptReaderFactory(fullSchema: StructType, required: StructType,
                              rowFilter: Option[PExpr], topK: Option[TopKPlan])
@@ -388,49 +383,50 @@ final class MptReaderFactory(fullSchema: StructType, required: StructType,
   }
 
   /** The rows that pass `filter` and, under a top-k boundary, may still
-    * reach the top-k, in ascending order; null when that is every row.
-    * The filter is [[PExprEval]] over the decoded vectors, each column name
-    * bound to its vector once.
+    * reach the top-k, in ascending order; null when that is every row. The
+    * filter is bound once to the probe vectors as typed columns; a non-NULL
+    * order value is offered to the boundary, and a NULL one, which sorts
+    * last, is out once the boundary is active.
     */
   private def select(rows: Int, probes: Map[String, ColumnVector], filter: Option[PExpr],
                      heap: BoundaryHeap): Array[Int] = {
     if (filter.isEmpty && heap == null) return null
-    val values = new java.util.HashMap[String, Int => Option[Scalar]]()
-    probes.foreach { case (c, v) => values.put(c, MptReaderFactory.scalars(v, fullSchema(c).dataType)) }
-    var row = 0
-    val lookup: PExprEval.RowLookup = name => {
-      val f = values.get(name)
-      if (f == null) None else f(row)
+    val typed = probes.map { case (c, v) => c -> MptReaderFactory.columnVec(v, fullSchema(c).dataType, rows) }
+    val cols = new Columns {
+      def rowCount: Int = rows
+      def column(name: String): ColumnVec = typed.getOrElse(name, null)
     }
-    val pred = filter.orNull
-    val orderAt = if (heap == null) null else values.get(topK.get.orderCol)
+    val pred = filter.map(RowEval.bind(_, cols)).orNull
+    val order = if (heap == null) null else typed(topK.get.orderCol)
     val sel = new Array[Int](rows)
     var n = 0
-    while (row < rows) {
-      var keep = pred == null || PExprEval.passes(pred, lookup)
-      if (keep && heap != null) {
-        val v = orderAt(row).orNull
-        if (v != null) heap.observe(v, 0L) // tighten the boundary first …
-        keep = !heap.shouldSuppress(v) // … then drop rows provably out of top-k
-      }
-      if (keep) { sel(n) = row; n += 1 }
-      row += 1
+    var r = 0
+    while (r < rows) {
+      if ((pred == null || pred.passes(r)) &&
+          (order == null || (if (order.isNull(r)) heap.boundary == null else heap.offer(order, r, 0L))))
+        { sel(n) = r; n += 1 }
+      r += 1
     }
     if (n == rows) null else java.util.Arrays.copyOf(sel, n)
   }
 }
 
 object MptReaderFactory {
-  /** A vector's row values as [[PExprEval]] sees them (None = NULL): int
-    * columns as [[Scalar.LongV]], dates as [[Scalar.DateV]].
+  /** `n` rows of a decoded vector as a typed column, as the zone maps see
+    * them: ints widen to longs and dates are epoch days; an all-NULL vector
+    * is boxed, as [[ColumnVec.of]] gives it.
     */
-  private def scalars(v: ColumnVector, dt: DataType): Int => Option[Scalar] = dt match {
-    case LongType    => i => if (v.isNullAt(i)) None else Some(Scalar.LongV(v.getLong(i)))
-    case IntegerType => i => if (v.isNullAt(i)) None else Some(Scalar.LongV(v.getInt(i).toLong))
-    case DoubleType  => i => if (v.isNullAt(i)) None else Some(Scalar.DoubleV(v.getDouble(i)))
-    case StringType  => i => if (v.isNullAt(i)) None else Some(Scalar.StringV(v.getUTF8String(i).toString))
-    case DateType    => i => if (v.isNullAt(i)) None else Some(Scalar.DateV(v.getInt(i)))
-    case BooleanType => i => if (v.isNullAt(i)) None else Some(Scalar.BoolV(v.getBoolean(i)))
-    case other       => throw new IllegalArgumentException(s"unsupported: $other")
+  private def columnVec(v: ColumnVector, dt: DataType, n: Int): ColumnVec = {
+    val nulls = if (v.hasNull) Array.tabulate(n)(v.isNullAt) else null
+    dt match {
+      case _ if v.numNulls == n => new ColumnVec.Scalars(new Array[Scalar](n))
+      case LongType    => new ColumnVec.Longs(v.getLongs(0, n), nulls)
+      case IntegerType => new ColumnVec.Longs(v.getInts(0, n).map(_.toLong), nulls)
+      case DateType    => new ColumnVec.Dates(v.getInts(0, n), nulls)
+      case DoubleType  => new ColumnVec.Doubles(v.getDoubles(0, n), nulls)
+      case BooleanType => new ColumnVec.Bools(v.getBooleans(0, n), nulls)
+      case StringType  => new ColumnVec.Strings(Array.tabulate(n)(i => if (v.isNullAt(i)) null else v.getUTF8String(i).toString))
+      case other       => throw new IllegalArgumentException(s"unsupported: $other")
+    }
   }
 }

@@ -296,7 +296,9 @@ object SimExecutor {
     * The aggregation operator maintains its own top-k heap of *distinct*
     * keys; a partition whose best key is worse than the k-th distinct key
     * seen so far cannot influence the result (neither membership nor the
-    * aggregates of surviving groups) and is skipped.
+    * aggregates of surviving groups) and is skipped. The NULL group sorts
+    * last, in both directions, so it is in the result only after fewer
+    * than k keys.
     */
   private def executeGroupByTopK(
       probe: MemTable, q: QuerySpec, scanIds: Array[Int],
@@ -311,12 +313,13 @@ object SimExecutor {
     val orderedIds = TopKPruner.processingOrder(probe.stats, scanIds, g, ob.desc)
     val keyZones = probe.stats.column(g)
 
-    // The k best distinct keys. A key is observed when first seen:
-    // observing a key seen before cannot change the k best distinct keys.
+    // The k best distinct keys. A key is offered when first seen:
+    // offering a key seen before cannot change the k best distinct keys.
     val heap = new BoundaryHeap(q.limit.get.toInt, ob.desc, null)
     // counts keeps every seen key: an evicted key could re-enter later
     // (boundary ties) and must not lose earlier rows.
     val counts = new GroupCounts
+    var nullKeys = 0L // rows of the NULL group, which sorts last
     var scanned = 0
     var skipped = 0
     var rowsScanned = 0L
@@ -328,26 +331,25 @@ object SimExecutor {
         scanned += 1
         rowsScanned += p.rowCount
         val pass = rowFilter(p, q.pred, qualifier)
-        p.column(g) match {
-          case null =>
-          case c: ColumnVec.Longs =>
-            var r = 0
-            while (r < p.rowCount) {
-              if (!c.isNull(r) && pass(r) && counts.addLong(c.values(r))) heap.observe(Scalar.LongV(c.values(r)), 0L)
-              r += 1
-            }
-          case c =>
-            var r = 0
-            while (r < p.rowCount) {
-              if (!c.isNull(r) && pass(r) && counts.add(c.get(r))) heap.observe(c.get(r), 0L)
-              r += 1
-            }
+        val c = p.column(g)
+        val longs = c match { case l: ColumnVec.Longs => l.values; case _ => null }
+        var r = 0
+        while (r < p.rowCount) {
+          if (pass(r)) {
+            if (c == null || c.isNull(r)) nullKeys += 1
+            else if (if (longs != null) counts.addLong(longs(r)) else counts.add(c.get(r))) heap.offer(c, r, 0L)
+          }
+          r += 1
         }
       }
     }
-    val resultKeys = heap.drain((key, _) => key) // best first
+    val keys = heap.drain((key, _) => key) // best first
+    // Fewer than k keys: the boundary never activated, so no partition was
+    // skipped and the NULL group's count is exact; NULLS LAST puts it last.
+    val resultKeys = if (keys.size < heap.k && nullKeys > 0) keys :+ null else keys
     val rows =
-      if (config.materialize) resultKeys.map(key => IndexedSeq(key, Scalar.LongV(counts(key))))
+      if (config.materialize)
+        resultKeys.map(key => IndexedSeq(key, Scalar.LongV(if (key == null) nullKeys else counts(key))))
       else Seq.empty
     QueryReport(q, eligible, buildScanned + scanned, buildRows + rowsScanned,
                 filterStat, joinStat, None,

@@ -50,7 +50,7 @@ class BoundaryHeapSpec extends AnyFunSuite {
     assert(!st.shouldSkip(null)) // no boundary yet: must scan
     st.observe(LongV(5), 0L)
     assert(st.shouldSkip(null)) // NULLS LAST cannot displace
-    assert(st.shouldSuppress(null))
+    assert(!st.offer(ColumnVec.of(Array[Scalar](LongV(4))), 0, 0L)) // a row below the boundary is out
   }
 
   test("concurrent observers agree on the final boundary") {
@@ -74,7 +74,7 @@ class BoundaryHeapSpec extends AnyFunSuite {
   test("an incomparable value is admitted and prunes nothing") {
     val st = new BoundaryHeap(1, desc = true, LongV(5))
     assert(!st.shouldSkip(StringV("a")))
-    assert(!st.shouldSuppress(StringV("a")))
+    assert(st.offer(ColumnVec.of(Array[Scalar](StringV("a"))), 0, 7L))
     st.observe(StringV("a"), 7L)
     assert(st.boundary == LongV(5))
     assert(st.drain((v, tag) => (v, tag)) == Vector((StringV("a"), 7L)))

@@ -4,8 +4,10 @@ import java.nio.file.Files
 
 import scala.collection.mutable
 
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.connector.read.PartitionReader
 import org.apache.spark.sql.sources
+import org.apache.spark.sql.types._
 import org.apache.spark.sql.vectorized.ColumnarBatch
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
@@ -13,6 +15,8 @@ import org.scalacheck.rng.Seed
 import repro.PropHelper.forAllSeeded
 import repro.SparkSpec
 import repro.core.{BoundaryHeap, FilterTranslator, PExprEval}
+import repro.meta.Scalar
+import repro.meta.Scalar._
 
 /** The columnar reader against the row-level semantics it must keep: the
   * rows it emits under a pushed filter are exactly those [[PExprEval]]
@@ -87,38 +91,60 @@ class MptReaderSpec extends SparkSpec {
   }
 
   test("a top-k scan emits the same rows through createReader and createColumnarReader") {
-    val l = manifest.schema.fieldIndex("l")
-    /** (id, l) of every row one reader per partition emits, under a fresh boundary. */
-    def run(read: (MptReaderFactory, MptInputPartition) => Seq[(Long, Option[Long])]) = {
-      val scanId = ScanMetrics.register(new ScanMetrics.Stats(dir, new BoundaryHeap(5, desc = true, null)))
-      val factory = new MptReaderFactory(manifest.schema, manifest.schema, None,
-                                         Some(TopKPlan("l", desc = true, 5)))
-      partitions(scanId, _.stats(l).max).flatMap(read(factory, _))
-    }
-    val viaBatches = run { (f, p) =>
-      val r = f.createColumnarReader(p)
-      val out = mutable.ArrayBuffer.empty[(Long, Option[Long])]
-      while (r.next()) {
-        val b = r.get()
-        (0 until b.numRows).foreach { i =>
-          out += ((b.column(0).getLong(i), Option.when(!b.column(l).isNullAt(i))(b.column(l).getLong(i))))
-        }
+    // Every order-column type in both directions: doubles with ±0.0, NaN and
+    // ±Inf, strings with supplementary characters, dates, and ints.
+    val inputs = ("l", true) +: (for (c <- Seq("d", "s", "dt", "i"); desc <- Seq(true, false)) yield (c, desc))
+    for ((c, desc) <- inputs) {
+      val o = manifest.schema.fieldIndex(c)
+      val dt = manifest.schema(c).dataType
+      def orderValue(r: InternalRow): Option[Scalar] = Option.when(!r.isNullAt(o))(dt match {
+        case LongType    => LongV(r.getLong(o))
+        case IntegerType => LongV(r.getInt(o).toLong)
+        case DoubleType  => DoubleV(r.getDouble(o))
+        case StringType  => StringV(r.getUTF8String(o).toString)
+        case DateType    => DateV(r.getInt(o))
+        case other       => fail(s"unexpected $other")
+      })
+      /** (id, order value) of every row one reader per partition emits, under a fresh boundary. */
+      def run(read: (MptReaderFactory, MptInputPartition) => Seq[(Long, Option[Scalar])]) = {
+        val scanId = ScanMetrics.register(new ScanMetrics.Stats(dir, new BoundaryHeap(5, desc, null)))
+        val factory = new MptReaderFactory(manifest.schema, manifest.schema, None, Some(TopKPlan(c, desc, 5)))
+        partitions(scanId, e => if (desc) e.stats(o).max else e.stats(o).min).flatMap(read(factory, _))
       }
-      r.close()
-      out.toSeq
+      val viaBatches = run { (f, p) =>
+        val r = f.createColumnarReader(p)
+        val out = mutable.ArrayBuffer.empty[(Long, Option[Scalar])]
+        while (r.next()) {
+          val b = r.get()
+          (0 until b.numRows).foreach { i => val row = b.getRow(i); out += ((row.getLong(0), orderValue(row))) }
+        }
+        r.close()
+        out.toSeq
+      }
+      val viaRows = run { (f, p) =>
+        val r = f.createReader(p)
+        val out = mutable.ArrayBuffer.empty[(Long, Option[Scalar])]
+        while (r.next()) out += ((r.get().getLong(0), orderValue(r.get())))
+        r.close()
+        out.toSeq
+      }
+      // Double bits, so that NaN equals itself and -0.0 differs from 0.0.
+      def bits(rows: Seq[(Long, Option[Scalar])]) =
+        rows.map { case (id, v) => (id, v.map { case DoubleV(x) => java.lang.Double.doubleToLongBits(x); case x => x }) }
+      assert(bits(viaBatches) == bits(viaRows), s"$c desc=$desc")
+      assert(viaBatches.size < source.size, s"the boundary should suppress rows ($c desc=$desc)")
+      // The emitted rows hold the true top 5 order values (NULLS LAST).
+      def top5(vs: Seq[Option[Scalar]]): Seq[Option[Scalar]] = {
+        val (some, none) = vs.partition(_.isDefined)
+        (some.sortWith((a, b) => Scalar.compare(a.get, b.get).exists(x => if (desc) x > 0 else x < 0)) ++ none).take(5)
+      }
+      val want = top5(source.map(lookup(_)(c)))
+      val got = top5(viaBatches.map(_._2))
+      assert(got.size == want.size && got.zip(want).forall {
+        case (Some(a), Some(b)) => Scalar.compare(a, b).contains(0)
+        case (a, b)             => a == b
+      }, s"$c desc=$desc: got $got, want $want")
     }
-    val viaRows = run { (f, p) =>
-      val r = f.createReader(p)
-      val out = mutable.ArrayBuffer.empty[(Long, Option[Long])]
-      while (r.next()) out += ((r.get().getLong(0), Option.when(!r.get().isNullAt(l))(r.get().getLong(l))))
-      r.close()
-      out.toSeq
-    }
-    assert(viaBatches == viaRows)
-    assert(viaBatches.size < source.size, "the boundary should suppress rows")
-    // The emitted rows hold the true top 5 (NULLS LAST).
-    val top5 = source.filter(!_.isNullAt(l)).map(_.getLong(l)).sorted(Ordering[Long].reverse).take(5)
-    assert(viaBatches.flatMap(_._2).sorted(Ordering[Long].reverse).take(5) == top5)
   }
 
   test("Spark reads mpt scans through the columnar path") {

@@ -179,11 +179,14 @@ class SimExecutorSpec extends SparkSpec {
     val rows = (0 until 1200).map { i =>
       Array[Scalar](LongV(i.toLong), if (i % 4 == 0) null else StringV(vocab(i * 7 % vocab.size)))
     }
-    for (layout <- Seq(MemTable.Layout.Sorted("s"), MemTable.Layout.Random(5)); desc <- Seq(true, false)) {
+    for (layout <- Seq(MemTable.Layout.Sorted("s"), MemTable.Layout.Random(5)); desc <- Seq(true, false);
+         k <- Seq(5, 15)) {
       val t = MemTable.build("t", IndexedSeq("id", "s"), rows, 12, layout)
-      // k below the number of non-NULL keys: the NULL group, last, is not in the result.
-      val r = SimExecutor.execute(catalogOf(t), groupTopKQuery("s", desc, 5), cfg)
-      assert(r.resultRows.map(row => (row(0), row(1))) == groupTopK(t, "s", desc, 5), s"$layout desc=$desc")
+      // k = 5, below the number of non-NULL keys: the NULL group, last, is not
+      // in the result; k = 15, above it: the NULL group comes last.
+      val r = SimExecutor.execute(catalogOf(t), groupTopKQuery("s", desc, k), cfg)
+      assert(r.resultRows.map(row => (row(0), row(1))) == groupTopK(t, "s", desc, k), s"$layout desc=$desc k=$k")
+      assert(r.resultCount == r.resultRows.size)
     }
   }
 
