@@ -11,30 +11,21 @@ import repro.workload.Experiments
   */
 object Table1QueryMix {
   def main(args: Array[String]): Unit = {
-    val run = Experiments.runWorkload(
-      nTables = args.lift(0).map(_.toInt).getOrElse(60),
-      nQueries = args.lift(1).map(_.toInt).getOrElse(20000),
-      seed = args.lift(2).map(_.toLong).getOrElse(42L))
+    val run = WorkloadArgs.run(args)
     println(Experiments.table1Report(run))
   }
 }
 
 object Table2LimitPruning {
   def main(args: Array[String]): Unit = {
-    val run = Experiments.runWorkload(
-      nTables = args.lift(0).map(_.toInt).getOrElse(60),
-      nQueries = args.lift(1).map(_.toInt).getOrElse(20000),
-      seed = args.lift(2).map(_.toLong).getOrElse(42L))
+    val run = WorkloadArgs.run(args)
     println(Experiments.table2Report(run))
   }
 }
 
 object HeadlineRatios {
   def main(args: Array[String]): Unit = {
-    val run = Experiments.runWorkload(
-      nTables = args.lift(0).map(_.toInt).getOrElse(60),
-      nQueries = args.lift(1).map(_.toInt).getOrElse(20000),
-      seed = args.lift(2).map(_.toLong).getOrElse(42L))
+    val run = WorkloadArgs.run(args)
     println(Experiments.headlineReport(run))
     println()
     println(Experiments.flowReport(run))
@@ -61,10 +52,7 @@ object TopKImpact {
 
 object JoinPruningImpact {
   def main(args: Array[String]): Unit = {
-    val run = Experiments.runWorkload(
-      nTables = args.lift(0).map(_.toInt).getOrElse(60),
-      nQueries = args.lift(1).map(_.toInt).getOrElse(20000),
-      seed = args.lift(2).map(_.toLong).getOrElse(42L))
+    val run = WorkloadArgs.run(args)
     val join = repro.workload.WorkloadStats.joinRatios(run.reports)
     println("Figure 10 — probe-side scan-set reduction by join pruning")
     println(f"  mean:   0.79 (paper) → ${join.mean}%.3f")
@@ -73,4 +61,15 @@ object JoinPruningImpact {
     for (q <- Seq(0.1, 0.25, 0.5, 0.75, 0.9))
       println(f"  p${(q * 100).toInt}%-3d ${join.percentile(q)}%.3f")
   }
+}
+
+/** The calibrated workload run of `[nTables nQueries seed]`, by default
+  * 60 tables, 20 000 queries and seed 42.
+  */
+private object WorkloadArgs {
+  def run(args: Array[String]): Experiments.WorkloadRun =
+    Experiments.runWorkload(
+      nTables = args.lift(0).map(_.toInt).getOrElse(60),
+      nQueries = args.lift(1).map(_.toInt).getOrElse(20000),
+      seed = args.lift(2).map(_.toLong).getOrElse(42L))
 }

@@ -79,27 +79,31 @@ object PExpr {
   def lit(v: Boolean): PExpr = Lit(Scalar.BoolV(v))
   def dateLit(days: Int): PExpr = Lit(Scalar.DateV(days))
 
+  /** The direct sub-expressions of `e`; none for a leaf. */
+  def children(e: PExpr): Seq[PExpr] = e match {
+    case Arith(_, l, r)   => Seq(l, r)
+    case Neg(x)           => Seq(x)
+    case If(c, t, f)      => Seq(c, t, f)
+    case CaseWhen(bs, o)  => bs.flatMap { case (c, v) => Seq(c, v) } ++ o
+    case Cmp(_, l, r)     => Seq(l, r)
+    case And(l, r)        => Seq(l, r)
+    case Or(l, r)         => Seq(l, r)
+    case Not(x)           => Seq(x)
+    case In(x, _)         => Seq(x)
+    case Like(x, _)       => Seq(x)
+    case StartsWith(x, _) => Seq(x)
+    case EndsWith(x, _)   => Seq(x)
+    case Contains(x, _)   => Seq(x)
+    case IsNull(x)        => Seq(x)
+    case IsNotNull(x)     => Seq(x)
+    case IsNotTrue(x)     => Seq(x)
+    case _: Col | _: Lit | NullLit | _: LitBool | _: Opaque => Nil
+  }
+
   /** Columns referenced anywhere in the expression. */
   def columns(e: PExpr): Set[String] = e match {
-    case Col(n)            => Set(n)
-    case Arith(_, l, r)    => columns(l) ++ columns(r)
-    case Neg(x)            => columns(x)
-    case If(c, t, f)       => columns(c) ++ columns(t) ++ columns(f)
-    case CaseWhen(bs, o)   => bs.flatMap { case (c, v) => columns(c) ++ columns(v) }.toSet ++
-                              o.map(columns).getOrElse(Set.empty)
-    case Cmp(_, l, r)      => columns(l) ++ columns(r)
-    case And(l, r)         => columns(l) ++ columns(r)
-    case Or(l, r)          => columns(l) ++ columns(r)
-    case Not(x)            => columns(x)
-    case In(x, _)          => columns(x)
-    case Like(x, _)        => columns(x)
-    case StartsWith(x, _)  => columns(x)
-    case EndsWith(x, _)    => columns(x)
-    case Contains(x, _)    => columns(x)
-    case IsNull(x)         => columns(x)
-    case IsNotNull(x)      => columns(x)
-    case IsNotTrue(x)      => columns(x)
-    case _                 => Set.empty
+    case Col(n) => Set(n)
+    case _      => children(e).iterator.flatMap(columns).toSet
   }
 
   /** True iff the expression contains an [[Opaque]] node — such predicates
@@ -107,24 +111,7 @@ object PExpr {
     * fully-matching partition.
     */
   def hasOpaque(e: PExpr): Boolean = e match {
-    case Opaque(_)         => true
-    case Arith(_, l, r)    => hasOpaque(l) || hasOpaque(r)
-    case Neg(x)            => hasOpaque(x)
-    case If(c, t, f)       => hasOpaque(c) || hasOpaque(t) || hasOpaque(f)
-    case CaseWhen(bs, o)   => bs.exists { case (c, v) => hasOpaque(c) || hasOpaque(v) } ||
-                              o.exists(hasOpaque)
-    case Cmp(_, l, r)      => hasOpaque(l) || hasOpaque(r)
-    case And(l, r)         => hasOpaque(l) || hasOpaque(r)
-    case Or(l, r)          => hasOpaque(l) || hasOpaque(r)
-    case Not(x)            => hasOpaque(x)
-    case In(x, _)          => hasOpaque(x)
-    case Like(x, _)        => hasOpaque(x)
-    case StartsWith(x, _)  => hasOpaque(x)
-    case EndsWith(x, _)    => hasOpaque(x)
-    case Contains(x, _)    => hasOpaque(x)
-    case IsNull(x)         => hasOpaque(x)
-    case IsNotNull(x)      => hasOpaque(x)
-    case IsNotTrue(x)      => hasOpaque(x)
-    case _                 => false
+    case Opaque(_) => true
+    case _         => children(e).exists(hasOpaque)
   }
 }

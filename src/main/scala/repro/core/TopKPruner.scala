@@ -40,8 +40,6 @@ object TopKPruner {
       k: Int,
       desc: Boolean = true,
       pred: Option[PExpr] = None,
-      /** Extra row-level qualifier (e.g. join-probe membership, shape 7b). */
-      rowQualifier: PExprEval.RowLookup => Boolean = _ => true,
       strategy: OrderStrategy = OrderStrategy.SortByBoundaryPotential,
       upfrontInit: Boolean = true)
 
@@ -69,14 +67,13 @@ object TopKPruner {
     */
   def run(scanSet: Seq[PartitionData], filtered: FilterPruneResult, q: TopKQuery): TopKResult = {
     val parts = scanSet.toIndexedSeq
-    run(TableStats.of(parts.map(_.meta)), Array.range(0, parts.size), parts, filtered, q,
-        p => r => q.rowQualifier(p.lookupAt(r)))
+    run(TableStats.of(parts.map(_.meta)), Array.range(0, parts.size), parts, filtered, q, null)
   }
 
   /** [[run]] over the partitions of `stats` at `indices`, in that order;
     * `part(i)` gives partition `i`'s rows. `qualifier(p)` says which rows of
-    * a scanned partition `p` qualify beyond `q.pred` (null: every row); it
-    * takes the place of `q.rowQualifier`. The predicate is bound to each
+    * a scanned partition `p` qualify beyond `q.pred` (null: every row), e.g.
+    * join-probe membership (shape 7b). The predicate is bound to each
     * scanned partition's columns once, and each qualifying non-NULL row is
     * offered to the heap ([[BoundaryHeap.offer]]).
     */

@@ -22,12 +22,11 @@ import repro.meta.Scalar
   *
   * This is where the paper's pruning techniques meet Catalyst:
   *
-  *  - `SupportsPushDownFilters` → compile-time filter pruning (§3) over the
-  *    manifest's zone maps, plus the inverted second pass marking
-  *    fully-matching partitions (§4.2). Filters we can evaluate exactly are
-  *    accepted and applied in the reader; the rest stay residual (Spark
-  *    re-applies them), so pruning can use them but correctness never
-  *    depends on our row-level evaluation.
+  *  - `SupportsPushDownFilters` → compile-time filter pruning (§3): one
+  *    classification of the manifest's zone maps, the pass the simulator
+  *    runs too, prunes partitions and marks the fully-matching ones (§4.2).
+  *    Filters we can evaluate exactly are accepted and applied in the
+  *    reader; the rest stay residual and Spark re-applies them.
   *  - `SupportsPushDownLimit` → LIMIT pruning (§4): scan set reduced to the
   *    minimal fully-matching cover of k. Spark keeps the Limit operator
   *    (partial push), so any superset of k qualifying rows is a valid scan
@@ -106,22 +105,15 @@ final class MptScanBuilder(dir: String, manifest: MptManifest)
   private var afterLimitCount: Int = scan.length
 
   override def pushFilters(filters: Array[Filter]): Array[Filter] = {
-    val (ok, residual) = filters.partition(f => FilterTranslator.translate(f).isDefined)
-    acceptedFilters = ok
-    val pexprs = ok.toSeq.flatMap(FilterTranslator.translate)
-    rowFilter = if (pexprs.nonEmpty) Some(PExpr.and(pexprs)) else None
-    val filtered = rowFilter.fold(FilterPruner.noPredicate(manifest.stats)) { pred =>
-      // The pruners run over the manifest's stats, skipping empty partitions;
-      // filters are pushed before limit and top-N, so that is the scan set.
-      // The adaptive pruning tree (§3.2) prunes first: filter leaves are
-      // reordered by measured pruning ratio / cost as the manifest is
-      // streamed, and leaves below an AND that stop paying for themselves
-      // are cut off. Cutoff only ever weakens pruning (conservative).
-      val kept = new AdaptivePruner(PruningTree.fromPExpr(pred)).keptIndices(manifest.stats)
-      // The survivors are classified in one pass, which also certifies the
-      // fully-matching ones (§4.2).
-      FilterPruner.classifyAt(manifest.stats, pred, kept)
-    }
+    val (ok, rest) = filters.map(f => f -> FilterTranslator.translate(f)).partition(_._2.isDefined)
+    val residual = rest.map(_._1)
+    acceptedFilters = ok.map(_._1)
+    rowFilter = if (ok.isEmpty) None else Some(PExpr.and(ok.toSeq.flatMap(_._2)))
+    // Filters are pushed before limit and top-N, so they classify the whole
+    // manifest. One pass prunes (§3) and certifies the fully-matching
+    // partitions (§4.2); the §3.2 pruning tree would keep a superset of the
+    // same partitions at several times the cost, so it does not run here.
+    val filtered = FilterPruner.classifyOpt(manifest.stats, rowFilter)
     scan = filtered.scanIndices
     // Residual filters Spark re-applies could reject rows of a partition we
     // deem fully matching, so §4.2 certification requires full translation.

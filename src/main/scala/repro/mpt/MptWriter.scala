@@ -3,6 +3,7 @@ package repro.mpt
 import java.io.File
 
 import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.catalyst.util.QuotingUtils
 import org.apache.spark.sql.functions.{col, rand}
 import org.apache.spark.sql.types.StructType
 
@@ -43,14 +44,19 @@ object MptWriter {
     case object AsIs extends Layout
   }
 
+  /** Column `c` by its whole name, also when that name has a dot or needs
+    * quoting in SQL (`col("a.b")` would read a field `b` of a struct `a`).
+    */
+  private def column(c: String): Column = col(QuotingUtils.quoteIdentifier(c))
+
   def write(df: DataFrame, dir: String, numPartitions: Int, layout: Layout): MptManifest = {
     MptSchema.validate(df.schema)
     val arranged = layout match {
       case Layout.SortedBy(c) =>
-        df.repartitionByRange(numPartitions, col(c)).sortWithinPartitions(col(c))
+        df.repartitionByRange(numPartitions, column(c)).sortWithinPartitions(column(c))
       case Layout.ClusteredBy(c, jitter, seed) =>
-        val noisy: Column = col(c) + (rand(seed) - 0.5) * jitter
-        df.repartitionByRange(numPartitions, noisy).sortWithinPartitions(col(c))
+        val noisy: Column = column(c) + (rand(seed) - 0.5) * jitter
+        df.repartitionByRange(numPartitions, noisy).sortWithinPartitions(column(c))
       case Layout.Random(seed) =>
         df.repartition(numPartitions, (rand(seed) * 1e9).cast("long"))
       case Layout.AsIs => df

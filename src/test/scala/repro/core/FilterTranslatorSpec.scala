@@ -64,4 +64,14 @@ class FilterTranslatorSpec extends AnyFunSuite {
       assert(!PExpr.hasOpaque(p))
     }
   }
+
+  test("quoted attribute names name one column; nested fields are not translated") {
+    assert(FilterTranslator.translate(sources.GreaterThan("`a.b`", 5)).contains(
+      Cmp(CmpOp.Gt, Col("a.b"), Lit(Scalar.LongV(5)))))
+    assert(FilterTranslator.translate(sources.IsNotNull("`c d`")).contains(IsNotNull(Col("c d"))))
+    assert(FilterTranslator.translate(sources.In("`a``b`", Array(1))).contains(
+      In(Col("a`b"), Seq(Scalar.LongV(1)))))
+    assert(FilterTranslator.translate(sources.EqualTo("a.b", 5)).isEmpty)
+    assert(FilterTranslator.translate(sources.EqualTo("`a", 5)).isEmpty)
+  }
 }

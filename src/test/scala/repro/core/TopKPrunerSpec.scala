@@ -122,10 +122,11 @@ class TopKPrunerSpec extends AnyFunSuite {
     val t = TestTables.table("t", 1000, 10, MemTable.Layout.Sorted("v"))
     val allowed: PExprEval.RowLookup => Boolean =
       row => row("id").exists { case LongV(i) => i % 2 == 0; case _ => false }
-    val filtered = FilterPruner.noPredicate(t.metas)
-    val r = TopKPruner.run(t.partitions, filtered,
+    val filtered = FilterPruner.noPredicate(t.stats)
+    val r = TopKPruner.run(t.stats, Array.range(0, t.numPartitions), t.partition, filtered,
       // No upfront init: the qualifier invalidates fully-matching row counts.
-      TopKQuery("v", 10, desc = true, None, allowed, upfrontInit = false))
+      TopKQuery("v", 10, desc = true, upfrontInit = false),
+      p => r => allowed(p.lookupAt(r)))
     val expected = (for {
       p <- t.partitions; i <- 0 until p.rowCount
       row = p.lookupAt(i)

@@ -6,6 +6,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, SynthData}
+import repro.core.{FilterPruner, PExpr}
 
 /** End-to-end tests of the mpt DataSource V2 path: manifest round trips,
   * compile-time filter pruning, LIMIT pruning, top-k pruning with the
@@ -245,6 +246,51 @@ class MptTableSpec extends SparkSpec {
       assert(strings(readMpt(dir).filter("s > '\uFFFF'")) == Seq("\uD83D\uDE00"))
       assert(strings(readMpt(dir).orderBy(col("s").desc).limit(1)) == strings(df.orderBy(col("s").desc).limit(1)))
       assert(strings(readMpt(dir).orderBy("s")) == strings(df.orderBy("s")))
+    }
+  }
+
+  test("columns named `a.b` and `c d` filter, limit, sort and write like plain Spark") {
+    val df = spark.range(200).selectExpr(
+      "id", "id % 100 AS `a.b`", "IF(id % 7 = 0, CAST(NULL AS LONG), id % 5) AS `c d`")
+    val dir = tmpDir("quoted")
+    MptWriter.write(df, dir, 8, MptWriter.Layout.SortedBy("a.b"))
+    def ids(d: DataFrame): Seq[Long] = d.select("id").collect().map(_.getLong(0)).toSeq.sorted
+    for (p <- Seq("`a.b` > 50", "`c d` = 3", "`a.b` IN (1, 2, 99)", "`c d` IS NOT NULL",
+                  "`a.b` > 90 AND `c d` IS NOT NULL"))
+      assert(ids(readMpt(dir).filter(p)) == ids(df.filter(p)), p)
+    // The write sorted by `a.b`, so a selective range on it prunes.
+    readMpt(dir).filter("`a.b` > 90").collect()
+    val stats = ScanMetrics.forTable(dir).get
+    assert(stats.afterFilterPruning < stats.totalPartitions, s"$stats")
+    val limited = readMpt(dir).filter("`a.b` > 50").limit(5).collect()
+    assert(limited.length == 5 && limited.forall(_.getAs[Long]("a.b") > 50))
+    def top(d: DataFrame): Seq[Long] =
+      d.orderBy(col("`a.b`").desc).limit(5).collect().map(_.getAs[Long]("a.b")).toSeq
+    assert(top(readMpt(dir)) == top(df))
+  }
+
+  test("pushFilters scans what one classification of the manifest keeps (200 sorted partitions)") {
+    val df = spark.range(2000).selectExpr("id AS x")
+    val dir = tmpDir("classify-once")
+    val manifest = MptWriter.write(df, dir, 200, MptWriter.Layout.SortedBy("x"))
+    assert(manifest.partitions.size >= 200)
+    def xs(d: DataFrame): Seq[Long] = d.collect().map(_.getLong(0)).toSeq.sorted
+    // The first range's upper bound lies past the 128th partition, where a
+    // cost-based cut-off of `x <= hi` would keep the partitions above it.
+    val rnd = new scala.util.Random(12)
+    val ranges = (500L, 1700L) +: Seq.fill(4) {
+      val a = rnd.nextInt(2000).toLong; val b = rnd.nextInt(2000).toLong
+      (math.min(a, b), math.max(a, b))
+    }
+    for ((lo, hi) <- ranges) {
+      val got = readMpt(dir).filter(s"x >= $lo AND x <= $hi")
+      assert(xs(got) == xs(df.filter(s"x >= $lo AND x <= $hi")), s"[$lo, $hi]")
+      import PExpr.{Cmp, CmpOp, Col}
+      val pred = PExpr.And(Cmp(CmpOp.Gte, Col("x"), PExpr.lit(lo)), Cmp(CmpOp.Lte, Col("x"), PExpr.lit(hi)))
+      val classified = FilterPruner.classify(manifest.stats, pred)
+      val stats = ScanMetrics.forTable(dir).get
+      assert(stats.afterFilterPruning == classified.scanCount, s"[$lo, $hi]: $stats")
+      assert(stats.fullyMatching == classified.fullyIndices.length, s"[$lo, $hi]: $stats")
     }
   }
 }
