@@ -72,14 +72,15 @@ final class BoundaryHeap(val k: Int, val desc: Boolean, init: Scalar) {
     !below && { observe(col.get(r), tag); !below }
   }
 
-  /** The kept values with their tags, best first, as `f(value, tag)`; the
-    * heap is empty afterwards.
+  /** The kept values best first, each with its tag at the same position;
+    * the heap is empty afterwards.
     */
-  def drain[A](f: (Scalar, Long) => A): List[A] = synchronized {
-    var out = List.empty[A]
-    while (size > 0) { // worst first
-      out = f(values(0), tags(0)) :: out
+  def drain(): BoundaryHeap.Drained = synchronized {
+    val out = new BoundaryHeap.Drained(new Array[Scalar](size), new Array[Long](size))
+    while (size > 0) { // worst first, into the last free slot
       size -= 1
+      out.values(size) = values(0)
+      out.tags(size) = tags(0)
       values(0) = values(size)
       tags(0) = tags(size)
       values(size) = null
@@ -88,11 +89,19 @@ final class BoundaryHeap(val k: Int, val desc: Boolean, init: Scalar) {
     out
   }
 
+  /** [[drain]] as `f(value, tag)` per kept value, best first. */
+  def drain[A](f: (Scalar, Long) => A): IndexedSeq[A] = {
+    val d = drain()
+    IndexedSeq.tabulate(d.size)(j => f(d.values(j), d.tags(j)))
+  }
+
   /** Is `a` strictly worse than `b` in query order (false when either is
     * null or they are incomparable)?
     */
-  private def worse(a: Scalar, b: Scalar): Boolean =
-    a != null && b != null && Scalar.compare(a, b).exists(c => if (desc) c < 0 else c > 0)
+  private def worse(a: Scalar, b: Scalar): Boolean = a != null && b != null && ((a, b) match {
+    case (Scalar.LongV(x), Scalar.LongV(y)) => if (desc) x < y else x > y
+    case _ => Scalar.compare(a, b).exists(c => if (desc) c < 0 else c > 0)
+  })
 
   private def swap(i: Int, j: Int): Unit = {
     val v = values(i); values(i) = values(j); values(j) = v
@@ -118,5 +127,12 @@ final class BoundaryHeap(val k: Int, val desc: Boolean, init: Scalar) {
       if (l < size && worse(values(w), values(i))) { swap(i, w); i = w }
       else done = true
     }
+  }
+}
+
+object BoundaryHeap {
+  /** Drained values, best first, and their tags: `tags(j)` is that of `values(j)`. */
+  final class Drained(val values: Array[Scalar], val tags: Array[Long]) {
+    def size: Int = values.length
   }
 }

@@ -20,17 +20,22 @@ final case class ClassifiedPartition(meta: PartitionMeta, cls: MatchClass) {
 }
 
 /** Result of filter pruning over partitions of one [[TableStats]]: one class
-  * byte per classified partition. `scanIndices` and `fullyIndices` are
-  * positions in `stats.metas`, in classification order; the record views
-  * (`partitions`, `scanSet`, `fullyMatching`) are built on first use.
+  * byte per classified partition, or none when no predicate ran, in which
+  * case each non-empty partition is fully matching and each empty one not
+  * matching. `scanIndices` and `fullyIndices` are positions in
+  * `stats.metas`, in classification order; `fullyIndices` and the record
+  * views (`partitions`, `scanSet`, `fullyMatching`) are built on first use.
+  *
+  * The position arrays may be shared with other results over the same stats
+  * (see [[TableStats]]): callers read them and never write into them.
   */
 final class FilterPruneResult private (val stats: TableStats, indices: Array[Int], classes: Array[Byte]) {
   import FilterPruneResult._
 
   /** Classified partitions in the scan set (partially or fully matching). */
-  val scanIndices: Array[Int] = select(Partial)
+  val scanIndices: Array[Int] = if (classes == null) stats.nonEmptyIndices else select(Partial)
   /** Classified partitions certified fully matching (§4.2). */
-  val fullyIndices: Array[Int] = select(Fully)
+  lazy val fullyIndices: Array[Int] = if (classes == null) stats.nonEmptyIndices else select(Fully)
 
   def total: Int = indices.length
   def scanCount: Int = scanIndices.length
@@ -38,9 +43,12 @@ final class FilterPruneResult private (val stats: TableStats, indices: Array[Int
   def pruningRatio: Double = if (total == 0) 0.0 else prunedCount.toDouble / total
 
   lazy val partitions: Seq[ClassifiedPartition] =
-    Vector.tabulate(total)(j => ClassifiedPartition(stats.metas(indices(j)), matchClass(classes(j))))
+    Vector.tabulate(total)(j => ClassifiedPartition(stats.metas(indices(j)), matchClass(classAt(j))))
   lazy val scanSet: Seq[PartitionMeta]       = scanIndices.iterator.map(stats.metas).toVector
   lazy val fullyMatching: Seq[PartitionMeta] = fullyIndices.iterator.map(stats.metas).toVector
+
+  private def classAt(j: Int): Byte =
+    if (classes != null) classes(j) else if (stats.rowCount(indices(j)) == 0) Not else Fully
 
   /** The classified indices whose class is at least `min`. */
   private def select(min: Byte): Array[Int] = {
@@ -72,14 +80,16 @@ object FilterPruneResult {
     case MatchClass.FullyMatching     => Fully
   }
 
-  /** `classes(j)` is the class of partition `indices(j)` of `stats`. */
+  /** `classes(j)` is the class of partition `indices(j)` of `stats`; null
+    * classes stand for the classes without a predicate.
+    */
   private[core] def of(stats: TableStats, indices: Array[Int], classes: Array[Byte]): FilterPruneResult =
     new FilterPruneResult(stats, indices, classes)
 
   /** A result over the given classified records, in their order. */
   def apply(partitions: Seq[ClassifiedPartition]): FilterPruneResult = {
     val stats = TableStats.of(partitions.iterator.map(_.meta).toVector)
-    new FilterPruneResult(stats, Array.range(0, partitions.size), partitions.iterator.map(p => code(p.cls)).toArray)
+    new FilterPruneResult(stats, stats.allIndices, partitions.iterator.map(p => code(p.cls)).toArray)
   }
 }
 
@@ -97,7 +107,7 @@ object FilterPruner {
   import FilterPruneResult.{Fully, Not, Partial}
 
   def classify(stats: TableStats, pred: PExpr): FilterPruneResult =
-    classifyAt(stats, pred, Array.range(0, stats.rowCount.length))
+    classifyAt(stats, pred, stats.allIndices)
 
   /** Classify only the partitions of `stats` at `indices`, in that order.
     * The predicate is evaluated over all of them in one batch, whose outcome
@@ -123,12 +133,11 @@ object FilterPruner {
     classify(TableStats.ofSeq(parts), pred)
 
   /** A query without predicates scans everything; every non-empty partition
-    * is trivially fully-matching (§4.2).
+    * is trivially fully-matching (§4.2). Its scan and fully-matching sets
+    * are both the table's non-empty partitions, shared by every such query.
     */
-  def noPredicate(stats: TableStats): FilterPruneResult = {
-    val rows = stats.rowCount
-    FilterPruneResult.of(stats, Array.range(0, rows.length), Array.tabulate(rows.length)(i => if (rows(i) == 0) Not else Fully))
-  }
+  def noPredicate(stats: TableStats): FilterPruneResult =
+    FilterPruneResult.of(stats, stats.allIndices, null)
 
   def noPredicate(parts: Seq[PartitionMeta]): FilterPruneResult = noPredicate(TableStats.ofSeq(parts))
 

@@ -21,7 +21,7 @@ import repro.meta.{ColumnArrays, ColumnStats, PartitionMeta, Scalar, TableStats,
   */
 object JoinPruner {
 
-  sealed trait BuildSummary extends Product with Serializable {
+  sealed trait BuildSummary extends Serializable {
     /** May the build side contain a value inside `range`? */
     def mayOverlap(range: ValueRange): Boolean
     /** Approximate serialized size, to reason about the accuracy/size trade-off. */
@@ -33,7 +33,7 @@ object JoinPruner {
   }
 
   /** Sorted, disjoint intervals `[lo(j), hi(j)]` of longs. */
-  private[core] final class LongIntervals(lo: Array[Long], hi: Array[Long]) {
+  private[core] final class LongIntervals(val lo: Array[Long], val hi: Array[Long]) {
     /** Does some interval meet `[mn, mx]`? The first interval ending at or
       * after `mn` is the only candidate, as the intervals are sorted.
       */
@@ -48,12 +48,15 @@ object JoinPruner {
   }
 
   private object LongIntervals {
-    def of(bounds: IndexedSeq[(Scalar, Scalar)]): LongIntervals = {
-      val lo = new Array[Long](bounds.size)
-      val hi = new Array[Long](bounds.size)
+    /** The intervals `[min(j), max(j)]`, `j < n`, unboxed; null unless every
+      * bound is a long and the intervals are sorted and disjoint.
+      */
+    def of(n: Int, min: Int => Scalar, max: Int => Scalar): LongIntervals = {
+      val lo = new Array[Long](n)
+      val hi = new Array[Long](n)
       var j = 0
-      while (j < bounds.size) {
-        bounds(j) match {
+      while (j < n) {
+        (min(j), max(j)) match {
           case (Scalar.LongV(a), Scalar.LongV(b)) if a <= b && (j == 0 || hi(j - 1) < a) =>
             lo(j) = a; hi(j) = b
           case _ => return null
@@ -68,22 +71,44 @@ object JoinPruner {
   case object EmptySummary extends BuildSummary {
     def mayOverlap(range: ValueRange): Boolean = false
     def sizeBytes: Long = 0L
-    private[core] val longs: LongIntervals = LongIntervals.of(Vector.empty)
+    private[core] val longs: LongIntervals = new LongIntervals(Array.emptyLongArray, Array.emptyLongArray)
   }
 
   final case class MinMaxSummary(range: ValueRange) extends BuildSummary {
     def mayOverlap(r: ValueRange): Boolean = range.overlaps(r)
     def sizeBytes: Long = 16L
-    private[core] lazy val longs: LongIntervals = LongIntervals.of(Vector((range.min, range.max)))
+    private[core] lazy val longs: LongIntervals = LongIntervals.of(1, _ => range.min, _ => range.max)
   }
 
-  final case class RangeSetSummary(ranges: Vector[ValueRange]) extends BuildSummary {
+  /** Disjoint value ranges, ascending. Built from long keys, the ranges are
+    * kept unboxed and `ranges` is built on first read.
+    */
+  final class RangeSetSummary private[JoinPruner] (boxed: Vector[ValueRange], unboxed: LongIntervals) extends BuildSummary {
+    lazy val ranges: Vector[ValueRange] =
+      if (boxed != null) boxed
+      else Vector.tabulate(unboxed.lo.length)(j => ValueRange(Scalar.LongV(unboxed.lo(j)), Scalar.LongV(unboxed.hi(j))))
     def mayOverlap(r: ValueRange): Boolean = ranges.exists(_.overlaps(r))
-    def sizeBytes: Long = 16L * ranges.size
-    private[core] lazy val longs: LongIntervals = LongIntervals.of(ranges.map(r => (r.min, r.max)))
+    def sizeBytes: Long = 16L * (if (boxed != null) boxed.size else unboxed.lo.length)
+    private[core] lazy val longs: LongIntervals =
+      if (unboxed != null) unboxed else LongIntervals.of(boxed.size, boxed(_).min, boxed(_).max)
+    override def equals(o: Any): Boolean = o match {
+      case r: RangeSetSummary => ranges == r.ranges
+      case _                  => false
+    }
+    override def hashCode: Int = ranges.##
+    override def toString: String = s"RangeSetSummary($ranges)"
   }
 
-  final case class ExactSetSummary(sorted: Vector[Scalar]) extends BuildSummary {
+  object RangeSetSummary {
+    def apply(ranges: Vector[ValueRange]): RangeSetSummary = new RangeSetSummary(ranges, null)
+  }
+
+  /** The build side's distinct values, ascending. Built from long keys, the
+    * values are kept unboxed and `sorted` is built on first read.
+    */
+  final class ExactSetSummary private[JoinPruner] (boxed: Vector[Scalar], points: Array[Long]) extends BuildSummary {
+    lazy val sorted: Vector[Scalar] =
+      if (boxed != null) boxed else Vector.tabulate(points.length)(j => Scalar.LongV(points(j)))
     def mayOverlap(r: ValueRange): Boolean = {
       // Binary search for the first element >= r.min, then check <= r.max.
       var lo = 0; var hi = sorted.size
@@ -93,8 +118,19 @@ object JoinPruner {
       }
       lo < sorted.size && Scalar.lte(sorted(lo), r.max).contains(true)
     }
-    def sizeBytes: Long = 8L * sorted.size
-    private[core] lazy val longs: LongIntervals = LongIntervals.of(sorted.map(v => (v, v)))
+    def sizeBytes: Long = 8L * (if (boxed != null) boxed.size else points.length)
+    private[core] lazy val longs: LongIntervals =
+      if (points != null) new LongIntervals(points, points) else LongIntervals.of(boxed.size, boxed, boxed)
+    override def equals(o: Any): Boolean = o match {
+      case e: ExactSetSummary => sorted == e.sorted
+      case _                  => false
+    }
+    override def hashCode: Int = sorted.##
+    override def toString: String = s"ExactSetSummary($sorted)"
+  }
+
+  object ExactSetSummary {
+    def apply(sorted: Vector[Scalar]): ExactSetSummary = new ExactSetSummary(sorted, null)
   }
 
   /** Build a summary from the build side's join-key values.
@@ -123,7 +159,9 @@ object JoinPruner {
   def summarizeLongs(keys: Array[Long], maxRanges: Int = 64): BuildSummary =
     fromLongs(keys.clone(), maxRanges)
 
-  /** The summary of `longs`, which it sorts and de-duplicates in place. */
+  /** The summary of `longs`, which it sorts and de-duplicates in place,
+    * built from the unboxed values.
+    */
   private def fromLongs(longs: Array[Long], maxRanges: Int): BuildSummary = {
     java.util.Arrays.sort(longs)
     var n = 0
@@ -132,31 +170,49 @@ object JoinPruner {
       if (n == 0 || longs(n - 1) != longs(i)) { longs(n) = longs(i); n += 1 }
       i += 1
     }
-    fromSorted(n, j => Scalar.LongV(longs(j)), j => longs(j).toDouble - longs(j - 1).toDouble, maxRanges)
+    if (n == 0) EmptySummary
+    else intervalStarts(n, j => longs(j).toDouble - longs(j - 1).toDouble, maxRanges) match {
+      case null => new ExactSetSummary(null, java.util.Arrays.copyOf(longs, n))
+      case starts =>
+        val lo = starts.map(longs(_))
+        val hi = Array.tabulate(starts.length)(c => longs(intervalEnd(starts, c, n)))
+        if (starts.length == 1) MinMaxSummary(ValueRange(Scalar.LongV(lo(0)), Scalar.LongV(hi(0))))
+        else new RangeSetSummary(null, new LongIntervals(lo, hi))
+    }
   }
 
   /** [[summarize]] over boxed values of any type family. */
   private def summarizeScalars(values: IterableOnce[Scalar], maxRanges: Int): BuildSummary = {
     val sorted = values.iterator.toVector.distinct.sortWith((a, b) => Scalar.lt(a, b).contains(true))
-    fromSorted(sorted.size, sorted, { j =>
+    val n = sorted.size
+    def gap(j: Int): Double = {
       val w = for { a <- Scalar.asDouble(sorted(j - 1)); b <- Scalar.asDouble(sorted(j)) } yield b - a
       w.getOrElse(0.0)
-    }, maxRanges)
+    }
+    if (n == 0) EmptySummary
+    else intervalStarts(n, gap, maxRanges) match {
+      case null => ExactSetSummary(sorted)
+      case starts =>
+        val ranges = Vector.tabulate(starts.length)(c => ValueRange(sorted(starts(c)), sorted(intervalEnd(starts, c, n))))
+        if (starts.length == 1) MinMaxSummary(ranges.head) else RangeSetSummary(ranges)
+    }
   }
 
-  /** The summary of `n` sorted distinct values, value `j` being `at(j)` and
-    * `gap(j)` the width between values `j - 1` and `j`.
+  /** The shape of the summary of `n > 0` sorted distinct values, `gap(j)`
+    * being the width between values `j - 1` and `j`: null for an exact set,
+    * else the positions where its intervals start, ascending from 0 — one
+    * interval, the min/max summary, when `maxRanges <= 1`.
     */
-  private def fromSorted(n: Int, at: Int => Scalar, gap: Int => Double, maxRanges: Int): BuildSummary =
-    if (n == 0) EmptySummary
-    else if (maxRanges == Int.MaxValue) ExactSetSummary(Vector.tabulate(n)(at))
-    else if (maxRanges <= 1) MinMaxSummary(ValueRange(at(0), at(n - 1)))
-    else if (n <= maxRanges) ExactSetSummary(Vector.tabulate(n)(at))
-    else {
-      // Keep the (maxRanges - 1) largest gaps as cuts between intervals.
-      val bounds = (0 +: largestGaps(n, gap, maxRanges - 1).toSeq) :+ n
-      RangeSetSummary(bounds.sliding(2).map { case Seq(s, e) => ValueRange(at(s), at(e - 1)) }.toVector)
-    }
+  private def intervalStarts(n: Int, gap: Int => Double, maxRanges: Int): Array[Int] =
+    if (maxRanges == Int.MaxValue) null
+    else if (maxRanges <= 1) Array(0)
+    else if (n <= maxRanges) null
+    // Keep the (maxRanges - 1) largest gaps as cuts between intervals.
+    else 0 +: largestGaps(n, gap, maxRanges - 1)
+
+  /** The position of the last value of interval `c` of `starts` over `n` values. */
+  private def intervalEnd(starts: Array[Int], c: Int, n: Int): Int =
+    (if (c + 1 < starts.length) starts(c + 1) else n) - 1
 
   /** The positions `j` in `1 until n` of the `m < n` largest gaps, ascending.
     * Equal gaps go to the lower position first: the choice of a stable sort
@@ -199,7 +255,7 @@ object JoinPruner {
   def pruneProbe(probeParts: Seq[PartitionMeta], joinCol: String,
                  summary: BuildSummary): JoinPruneResult = {
     val stats = TableStats.ofSeq(probeParts)
-    val kept = pruneProbe(stats, Array.range(0, stats.rowCount.length), joinCol, summary)
+    val kept = pruneProbe(stats, stats.allIndices, joinCol, summary)
     JoinPruneResult(kept.iterator.map(stats.metas).toVector, probeParts.size - kept.length, probeParts.size, summary)
   }
 
@@ -213,13 +269,16 @@ object JoinPruner {
     var n = 0
     (stats.column(joinCol), summary.longs) match {
       case (col: ColumnArrays.Longs, longs) if !col.dates && longs != null =>
-        indices.foreach { i =>
+        var j = 0
+        while (j < indices.length) {
+          val i = indices(j)
           val keep = col.state(i) match {
             case ColumnArrays.Ranged  => longs.overlaps(col.min(i), col.max(i))
             case ColumnArrays.Absent  => true
             case _                    => mayJoin(stats.metas(i), joinCol, summary)
           }
           if (keep) { kept(n) = i; n += 1 }
+          j += 1
         }
       case _ =>
         indices.foreach(i => if (mayJoin(stats.metas(i), joinCol, summary)) { kept(n) = i; n += 1 })

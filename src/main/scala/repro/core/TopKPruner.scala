@@ -67,7 +67,8 @@ object TopKPruner {
     */
   def run(scanSet: Seq[PartitionData], filtered: FilterPruneResult, q: TopKQuery): TopKResult = {
     val parts = scanSet.toIndexedSeq
-    run(TableStats.of(parts.map(_.meta)), Array.range(0, parts.size), parts, filtered, q, null)
+    val stats = TableStats.of(parts.map(_.meta))
+    run(stats, stats.allIndices, parts, filtered, q, null)
   }
 
   /** [[run]] over the partitions of `stats` at `indices`, in that order;
@@ -119,8 +120,19 @@ object TopKPruner {
       }
     }
 
-    val kept = heap.drain((v, tag) => HeapRow(Some(v), (tag >>> 32).toInt, tag.toInt))
-    TopKResult((kept ++ nullRows).take(q.k), ordered.length, scanned, skipped, rowsScanned, initBoundary)
+    TopKResult(new KeptRows(heap.drain(), nullRows, q.k), ordered.length, scanned, skipped, rowsScanned, initBoundary)
+  }
+
+  /** The drained rows, best first, then the NULL rows (NULLS LAST), at most
+    * `k` in all; each [[HeapRow]] is built when read.
+    */
+  private final class KeptRows(kept: BoundaryHeap.Drained, nullRows: mutable.ArrayBuffer[HeapRow], k: Int)
+      extends scala.collection.immutable.AbstractSeq[HeapRow] with IndexedSeq[HeapRow] {
+    val length: Int = math.max(0, math.min(k, kept.size + nullRows.size))
+    def apply(j: Int): HeapRow =
+      if (j < 0 || j >= length) throw new IndexOutOfBoundsException(s"$j is out of bounds (length $length)")
+      else if (j >= kept.size) nullRows(j - kept.size)
+      else { val tag = kept.tags(j); HeapRow(Some(kept.values(j)), (tag >>> 32).toInt, tag.toInt) }
   }
 
   /** §5.3 processing order of the partitions of `stats` at `indices`: best
@@ -216,6 +228,6 @@ object TopKPruner {
   /** [[upfrontBoundary]] over partition records. */
   def upfrontBoundary(fullyMatching: Seq[PartitionMeta], q: TopKQuery): Option[Scalar] = {
     val stats = TableStats.ofSeq(fullyMatching)
-    upfrontBoundary(stats, Array.range(0, stats.rowCount.length), q)
+    upfrontBoundary(stats, stats.allIndices, q)
   }
 }

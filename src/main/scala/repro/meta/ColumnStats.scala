@@ -151,11 +151,24 @@ object ColumnArrays {
   * pruning can bind a predicate to the arrays once and then evaluate every
   * partition by index; only the columns some bound predicate references are
   * ever transposed.
+  *
+  * The arrays here, and the position arrays of pruning results built from
+  * them, are shared by every query over the table: read them, never write.
   */
 final class TableStats private (val metas: IndexedSeq[PartitionMeta], val rowCount: Array[Long]) {
   private val columns = new java.util.concurrent.ConcurrentHashMap[String, ColumnArrays]()
+
   /** Column `name` over every partition; absent everywhere if no partition has it. */
-  def column(name: String): ColumnArrays = columns.computeIfAbsent(name, ColumnArrays.of(metas, _))
+  def column(name: String): ColumnArrays = {
+    val c = columns.get(name)
+    if (c != null) c else columns.computeIfAbsent(name, ColumnArrays.of(metas, _))
+  }
+
+  /** The positions of all partitions, `0 until n`. */
+  lazy val allIndices: Array[Int] = Array.range(0, rowCount.length)
+
+  /** The positions of the partitions that hold rows, ascending. */
+  lazy val nonEmptyIndices: Array[Int] = allIndices.filter(rowCount(_) > 0)
 }
 
 object TableStats {

@@ -173,24 +173,22 @@ object SimExecutor {
     } else {
       // Plain scan / unsupported-top-k / aggregate: scan the full remaining
       // scan set (the engine still benefits from filter + join pruning).
-      var scanned = 0
+      // Metadata-only mode walks no rows.
+      val scanned = afterJoinScanIds.length
       var rowsScanned = 0L
       var count = 0L
       val out = mutable.ArrayBuffer.empty[IndexedSeq[Scalar]]
-      afterJoinScanIds.foreach { id =>
+      if (!config.metadataOnly) afterJoinScanIds.foreach { id =>
         val p = probe.partition(id)
-        scanned += 1
-        if (!config.metadataOnly) {
-          val pass = rowFilter(p, q.pred, probeQualifier)
-          rowsScanned += p.rowCount
-          var r = 0
-          while (r < p.rowCount) {
-            if (pass(r)) {
-              count += 1
-              if (config.materialize) out += p.data(r).toIndexedSeq
-            }
-            r += 1
+        val pass = rowFilter(p, q.pred, probeQualifier)
+        rowsScanned += p.rowCount
+        var r = 0
+        while (r < p.rowCount) {
+          if (pass(r)) {
+            count += 1
+            if (config.materialize) out += p.data(r).toIndexedSeq
           }
+          r += 1
         }
       }
       // Unsupported top-k / limit still truncates the *result* (not the scan).
@@ -343,17 +341,17 @@ object SimExecutor {
         }
       }
     }
-    val keys = heap.drain((key, _) => key) // best first
+    val keys = heap.drain().values // best first
     // Fewer than k keys: the boundary never activated, so no partition was
     // skipped and the NULL group's count is exact; NULLS LAST puts it last.
-    val resultKeys = if (keys.size < heap.k && nullKeys > 0) keys :+ null else keys
+    val resultKeys = if (keys.length < heap.k && nullKeys > 0) keys :+ null else keys
     val rows =
       if (config.materialize)
-        resultKeys.map(key => IndexedSeq(key, Scalar.LongV(if (key == null) nullKeys else counts(key))))
+        resultKeys.toSeq.map(key => IndexedSeq(key, Scalar.LongV(if (key == null) nullKeys else counts(key))))
       else Seq.empty
     QueryReport(q, eligible, buildScanned + scanned, buildRows + rowsScanned,
                 filterStat, joinStat, None,
                 Some(Ratio(scanIds.length, scanned)),
-                resultKeys.size.toLong, rows, buildFilterStat)
+                resultKeys.length.toLong, rows, buildFilterStat)
   }
 }

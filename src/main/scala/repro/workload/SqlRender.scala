@@ -71,9 +71,11 @@ object SqlRender {
     }
     q.pred.foreach(p => sb.append(s" WHERE ${renderExpr(p)}"))
     q.groupBy.foreach(g => sb.append(s" GROUP BY $g"))
+    // The simulator sorts NULLs last in both directions; Spark's ASC
+    // default is NULLS FIRST, its DESC default NULLS LAST.
     q.orderBy.foreach { ob =>
       sb.append(s" ORDER BY ${ob.col}")
-      if (ob.desc) sb.append(" DESC")
+      sb.append(if (ob.desc) " DESC" else " NULLS LAST")
     }
     q.limit.foreach(k => sb.append(s" LIMIT $k"))
     sb.toString

@@ -121,6 +121,24 @@ class SimExecutorSpec extends SparkSpec {
     assert(longs(r.resultRows, 1) == expected)
   }
 
+  test("ASC top-k over a column with NULLs matches its rendered SQL on Spark") {
+    // 700 rows, every 7th `v` NULL: k = 650 reaches past the 600 non-NULL
+    // values, so the NULLs' place in the order shows in both results.
+    val t = TestTables.table("t", 700, 10, MemTable.Layout.Sorted("v"), nullEvery = 7)
+    t.toDF(spark).createOrReplaceTempView("t")
+    def values(rows: Seq[Seq[Any]], idx: Int): Seq[Option[Long]] =
+      rows.map(_(idx) match { case null => None; case LongV(v) => Some(v); case v: Long => Some(v) })
+    for (k <- Seq(5, 650); grouped <- Seq(false, true)) {
+      val q = QuerySpec(15, "t", None, groupBy = if (grouped) Some("v") else None,
+                        orderBy = Some(OrderBy("v", desc = false)), limit = Some(k.toLong))
+      val sql = repro.workload.SqlRender.render(q)
+      val idx = if (grouped) 0 else 1
+      val fromSpark = spark.sql(sql).collect().toSeq.map(_.toSeq)
+      val r = SimExecutor.execute(catalogOf(t), q, cfg)
+      assert(values(r.resultRows, idx) == values(fromSpark, idx), sql)
+    }
+  }
+
   test("top-k over join probe side (shape 7b) matches Spark") {
     val probe = TestTables.table("probe", 2000, 20, MemTable.Layout.Sorted("v"), seed = 1)
     val build = TestTables.table("build", 200, 4, MemTable.Layout.Random(9), seed = 2)
