@@ -18,7 +18,10 @@ claimed: at least ten pairs ran, the change wins at least nine tenths of them
 and its median differs from the parent's by more than the parent's
 interquartile range. For the end-to-end metrics of BENCHMARK.json it also
 says whether the change's median is worse than the parent's by more than the
-metric's bound. Any run that is not `correct` or has failed operations is
+metric's bound. Under `--trace 0` it also reports the per-technique
+latencies that run.py prints as "(not guarded)" (`filter_p50_ms`,
+`join_p50_ms`, ...), labelled unguarded, so that a pair shows which query
+class moved. Any run that is not `correct` or has failed operations is
 flagged, and the exit status is then 1. The script writes nothing into the
 checkout; `--workdir` keeps the unpacked sides, builds included, for later
 sets of pairs over the same trees.
@@ -27,12 +30,15 @@ sets of pairs over the same trees.
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# A report line of run.py for a metric it does not guard: name, value, unit.
+UNGUARDED = re.compile(r"^\s+(\S+)\s+(\S+) \S+ \(not guarded\)$")
 
 
 def git(*args):
@@ -77,6 +83,8 @@ def run_once(checkout, args, seed):
     result = json.loads(lines[-1])
     # Each metric is {"value": v, "unit": u}; keep the values.
     result["metrics"] = {k: m["value"] for k, m in result["metrics"].items()}
+    result["unguarded"] = {m.group(1): float(m.group(2))
+                           for m in map(UNGUARDED.match, p.stdout.splitlines()) if m}
     return result
 
 
@@ -104,13 +112,19 @@ def directions():
 
 
 def report(pairs, only_end_to_end):
+    """One line per metric: the end-to-end ones and then those run.py does not
+    guard if `only_end_to_end`, else every metric of the runs."""
     dirs, end_to_end = directions()
-    names = end_to_end if only_end_to_end else sorted({k for b, c in pairs for k in b["metrics"]})
+    if only_end_to_end:
+        unguarded = list(dict.fromkeys(k for b, c in pairs for k in b.get("unguarded", {})))
+        rows = [(n, "metrics") for n in end_to_end] + [(n, "unguarded") for n in unguarded]
+    else:
+        rows = [(n, "metrics") for n in sorted({k for b, c in pairs for k in b["metrics"]})]
     print(f"{'metric':<40} {'parent median [q1, q3]':>36} {'change median [q1, q3]':>36} {'change %':>9} "
           f"{'wins':>6}  verdict")
-    for name in names:
-        got = [(b["metrics"][name], c["metrics"][name]) for b, c in pairs
-               if name in b["metrics"] and name in c["metrics"]]
+    for name, field in rows:
+        got = [(b[field][name], c[field][name]) for b, c in pairs
+               if name in b.get(field, {}) and name in c.get(field, {})]
         if not got or not any(got_pair != (0, 0) for got_pair in got):
             continue  # not measured on this workload
         base, change = [x for x, _ in got], [y for _, y in got]
@@ -128,7 +142,8 @@ def report(pairs, only_end_to_end):
             verdict = "too few pairs" if len(got) < 10 else "gain" if gain else "no gain shown"
             if bound is not None and bmed and sign * (cmed - bmed) < 0 and abs(cmed - bmed) / abs(bmed) > bound:
                 verdict += f"; WORSE BEYOND BOUND {bound}"
-        print(f"{name:<40} {f'{bmed:.6g} [{bq1:.6g}, {bq3:.6g}]':>36} {f'{cmed:.6g} [{cq1:.6g}, {cq3:.6g}]':>36} "
+        label = f"{name} (unguarded)" if field == "unguarded" else name
+        print(f"{label:<40} {f'{bmed:.6g} [{bq1:.6g}, {bq3:.6g}]':>36} {f'{cmed:.6g} [{cq1:.6g}, {cq3:.6g}]':>36} "
               f"{rel:>+8.2f}% {wins:>6}  {verdict}")
 
 
@@ -153,6 +168,8 @@ def main():
             print(f"{side}: {rev} = {commit}", flush=True)
             unpack(commit, sides[side])
         pairs, flagged = [], []
+        # A traced run reports per-layer metrics only, no end-to-end ones.
+        progress = directions()[1] if args.trace == 0 else ("queries_per_s", "latency_p50_ms")
         for i in range(args.pairs):
             seed = args.seed0 + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -165,7 +182,7 @@ def main():
             pairs.append((res["parent"], res["change"]))
             shown = "  ".join(f"{k}={res['parent']['metrics'].get(k, float('nan')):.6g}->"
                               f"{res['change']['metrics'].get(k, float('nan')):.6g}"
-                              for k in directions()[1])
+                              for k in progress)
             print(f"pair {i} seed {seed} ({order[0]} first): {shown}", flush=True)
         print()
         report(pairs, only_end_to_end=args.trace == 0)

@@ -19,17 +19,19 @@ final case class ClassifiedPartition(meta: PartitionMeta, cls: MatchClass) {
   def fullyMatching: Boolean = cls == MatchClass.FullyMatching
 }
 
-/** Result of filter pruning over partitions of one [[TableStats]]: one class
-  * byte per classified partition, or none when no predicate ran, in which
-  * case each non-empty partition is fully matching and each empty one not
-  * matching. `scanIndices` and `fullyIndices` are positions in
-  * `stats.metas`, in classification order; `fullyIndices` and the record
-  * views (`partitions`, `scanSet`, `fullyMatching`) are built on first use.
+/** Result of filter pruning over partitions of one [[TableStats]]: the
+  * partitions at `indices`, of which `indices(from + j)` has class byte
+  * `classes(j)` and every one outside the window of `classes` is not
+  * matching; or no class bytes when no predicate ran, in which case each
+  * non-empty partition is fully matching and each empty one not matching.
+  * `scanIndices` and `fullyIndices` are positions in `stats.metas`, in
+  * classification order; `fullyIndices` and the record views (`partitions`,
+  * `scanSet`, `fullyMatching`) are built on first use.
   *
   * The position arrays may be shared with other results over the same stats
   * (see [[TableStats]]): callers read them and never write into them.
   */
-final class FilterPruneResult private (val stats: TableStats, indices: Array[Int], classes: Array[Byte]) {
+final class FilterPruneResult private (val stats: TableStats, indices: Array[Int], from: Int, classes: Array[Byte]) {
   import FilterPruneResult._
 
   /** Classified partitions in the scan set (partially or fully matching). */
@@ -48,7 +50,9 @@ final class FilterPruneResult private (val stats: TableStats, indices: Array[Int
   lazy val fullyMatching: Seq[PartitionMeta] = fullyIndices.iterator.map(stats.metas).toVector
 
   private def classAt(j: Int): Byte =
-    if (classes != null) classes(j) else if (stats.rowCount(indices(j)) == 0) Not else Fully
+    if (classes == null) { if (stats.rowCount(indices(j)) == 0) Not else Fully }
+    else if (j >= from && j - from < classes.length) classes(j - from)
+    else Not
 
   /** The classified indices whose class is at least `min`. */
   private def select(min: Byte): Array[Int] = {
@@ -57,7 +61,7 @@ final class FilterPruneResult private (val stats: TableStats, indices: Array[Int
     while (j < classes.length) { if (classes(j) >= min) n += 1; j += 1 }
     val out = new Array[Int](n)
     n = 0; j = 0
-    while (j < classes.length) { if (classes(j) >= min) { out(n) = indices(j); n += 1 }; j += 1 }
+    while (j < classes.length) { if (classes(j) >= min) { out(n) = indices(from + j); n += 1 }; j += 1 }
     out
   }
 }
@@ -80,16 +84,17 @@ object FilterPruneResult {
     case MatchClass.FullyMatching     => Fully
   }
 
-  /** `classes(j)` is the class of partition `indices(j)` of `stats`; null
-    * classes stand for the classes without a predicate.
+  /** `classes(j)` is the class of partition `indices(from + j)` of `stats`,
+    * and every other partition at `indices` is not matching; null classes
+    * stand for the classes without a predicate.
     */
-  private[core] def of(stats: TableStats, indices: Array[Int], classes: Array[Byte]): FilterPruneResult =
-    new FilterPruneResult(stats, indices, classes)
+  private[core] def of(stats: TableStats, indices: Array[Int], from: Int, classes: Array[Byte]): FilterPruneResult =
+    new FilterPruneResult(stats, indices, from, classes)
 
   /** A result over the given classified records, in their order. */
   def apply(partitions: Seq[ClassifiedPartition]): FilterPruneResult = {
     val stats = TableStats.of(partitions.iterator.map(_.meta).toVector)
-    new FilterPruneResult(stats, stats.allIndices, partitions.iterator.map(p => code(p.cls)).toArray)
+    new FilterPruneResult(stats, stats.allIndices, 0, partitions.iterator.map(p => code(p.cls)).toArray)
   }
 }
 
@@ -102,31 +107,48 @@ object FilterPruneResult {
   * predicate `p IS NOT TRUE` (whose TRUE outcomes are p's FALSE and NULL
   * ones), read off the same outcome set. Partitions with zero rows are
   * vacuously not-matching.
+  *
+  * `classify` evaluates the predicate only inside its window
+  * ([[RangeEval.Bound.window]]), the positions outside which it cannot be
+  * TRUE, and leaves every partition outside not matching. That is exact:
+  * outside the window some AND conjunct compares a long or date column with
+  * a literal that no range there reaches — each ranged partition's running
+  * bound lies on the far side of it, and every other partition is all NULL
+  * or empty — so that conjunct, and with it the AND, has no TRUE outcome,
+  * and dense classification would prune the partition too.
   */
 object FilterPruner {
   import FilterPruneResult.{Fully, Not, Partial}
 
-  def classify(stats: TableStats, pred: PExpr): FilterPruneResult =
-    classifyAt(stats, pred, stats.allIndices)
+  def classify(stats: TableStats, pred: PExpr): FilterPruneResult = {
+    val bound = RangeEval.bind(pred, stats)
+    val w = bound.window
+    classified(stats, bound, stats.allIndices, w.start, w.end)
+  }
 
-  /** Classify only the partitions of `stats` at `indices`, in that order.
-    * The predicate is evaluated over all of them in one batch, whose outcome
-    * bytes become the class bytes in place.
+  /** Classify only the partitions of `stats` at `indices`, in that order. */
+  def classifyAt(stats: TableStats, pred: PExpr, indices: Array[Int]): FilterPruneResult =
+    classified(stats, RangeEval.bind(pred, stats), indices, 0, indices.length)
+
+  /** Classify the partitions at `indices(from until until)`; the others at
+    * `indices` are not matching. The predicate is evaluated over the window
+    * in one batch, whose outcome bytes become the class bytes in place.
     */
-  def classifyAt(stats: TableStats, pred: PExpr, indices: Array[Int]): FilterPruneResult = {
-    val classes = new Array[Byte](indices.length)
-    RangeEval.bind(pred, stats).outcomesAt(indices, classes)
+  private def classified(stats: TableStats, bound: RangeEval.Bound, indices: Array[Int],
+                         from: Int, until: Int): FilterPruneResult = {
+    val classes = new Array[Byte](until - from)
+    bound.outcomesAt(indices, from, until, classes)
     val rows = stats.rowCount
     var j = 0
-    while (j < indices.length) {
+    while (j < classes.length) {
       val o = classes(j)
       classes(j) =
-        if (rows(indices(j)) == 0 || (o & RangeEval.T) == 0) Not
+        if (rows(indices(from + j)) == 0 || (o & RangeEval.T) == 0) Not
         else if (o == RangeEval.T) Fully
         else Partial
       j += 1
     }
-    FilterPruneResult.of(stats, indices, classes)
+    FilterPruneResult.of(stats, indices, from, classes)
   }
 
   def classify(parts: Seq[PartitionMeta], pred: PExpr): FilterPruneResult =
@@ -137,7 +159,7 @@ object FilterPruner {
     * are both the table's non-empty partitions, shared by every such query.
     */
   def noPredicate(stats: TableStats): FilterPruneResult =
-    FilterPruneResult.of(stats, stats.allIndices, null)
+    FilterPruneResult.of(stats, stats.allIndices, 0, null)
 
   def noPredicate(parts: Seq[PartitionMeta]): FilterPruneResult = noPredicate(TableStats.ofSeq(parts))
 

@@ -24,6 +24,8 @@ import PExpr._
   * call ([[RangeEval.Bound.outcomesAt]]): each node evaluates its whole
   * batch before its parent combines the results, and a column compared with
   * a literal of its family is a typed loop over the zone-map arrays.
+  * [[RangeEval.Bound.window]] narrows a table to the positions where the
+  * predicate can be TRUE, from the running bounds of long and date columns.
   *
   * Soundness contract (property-tested): if some row of the partition
   * evaluates the predicate to outcome o, then o is in the computed set.
@@ -67,7 +69,16 @@ object RangeEval {
     /** Possible outcomes on partition `i`: a set of [[T]], [[F]] and [[N]]. */
     def outcomes(i: Int): Int = root.eval(i)
     /** `out(j) = outcomes(indices(j))` for every `j` of `indices`. */
-    def outcomesAt(indices: Array[Int], out: Array[Byte]): Unit = root.evalAt(indices, out)
+    def outcomesAt(indices: Array[Int], out: Array[Byte]): Unit = root.evalAt(indices, 0, indices.length, out)
+    /** `out(j - from) = outcomes(indices(j))` for every `j` in `[from, until)`. */
+    def outcomesAt(indices: Array[Int], from: Int, until: Int, out: Array[Byte]): Unit =
+      root.evalAt(indices, from, until, out)
+    /** The positions outside which TRUE is not a possible outcome: a
+      * comparison of a long or date column with a literal of its family
+      * binary-searches the column's [[RunningBounds]], an AND intersects its
+      * children's windows, and every other node spans the whole table.
+      */
+    def window: Range = root.window(rowCount.length)
     /** May partition `i` contain a matching row? (pass 1 of §4.2) */
     def mayMatch(i: Int): Boolean = rowCount(i) > 0 && (root.eval(i) & T) != 0
   }
@@ -364,11 +375,13 @@ object RangeEval {
   /** A predicate; `eval(i)` is its outcome set on partition `i`. */
   private abstract class Pred {
     def eval(i: Int): Int
-    /** `out(j) = eval(indices(j))` for every `j` of `indices`. */
-    def evalAt(indices: Array[Int], out: Array[Byte]): Unit = {
-      var j = 0
-      while (j < indices.length) { out(j) = eval(indices(j)).toByte; j += 1 }
+    /** `out(j - from) = eval(indices(j))` for every `j` in `[from, until)`. */
+    def evalAt(indices: Array[Int], from: Int, until: Int, out: Array[Byte]): Unit = {
+      var j = from
+      while (j < until) { out(j - from) = eval(indices(j)).toByte; j += 1 }
     }
+    /** Positions of an `n`-partition table outside which `eval` has no TRUE. */
+    def window(n: Int): Range = 0 until n
   }
 
   private final class ConstPred(o: Int) extends Pred { def eval(i: Int): Int = o }
@@ -376,28 +389,37 @@ object RangeEval {
   @inline private def withNull(o: Int, mayBeNull: Boolean): Int = if (mayBeNull) o | N else o
 
   /** AND or OR: `table` is [[andTable]] or [[orTable]]. A batch evaluates
-    * `l` into the output and `r` into this node's own buffer.
+    * `l` into the output and `r` into this node's own buffer. An AND is TRUE
+    * only where both sides may be, so its window is their intersection.
     */
   private final class KleenePred(l: Pred, r: Pred, table: Array[Int]) extends Pred {
     private var scratch = Array.emptyByteArray
     def eval(i: Int): Int = table((l.eval(i) << 3) | r.eval(i))
-    override def evalAt(indices: Array[Int], out: Array[Byte]): Unit = {
-      if (scratch.length < indices.length) scratch = new Array[Byte](indices.length)
+    override def evalAt(indices: Array[Int], from: Int, until: Int, out: Array[Byte]): Unit = {
+      val len = until - from
+      if (scratch.length < len) scratch = new Array[Byte](len)
       val rs = scratch
-      l.evalAt(indices, out)
-      r.evalAt(indices, rs)
+      l.evalAt(indices, from, until, out)
+      r.evalAt(indices, from, until, rs)
       var j = 0
-      while (j < indices.length) { out(j) = table((out(j) << 3) | rs(j)).toByte; j += 1 }
+      while (j < len) { out(j) = table((out(j) << 3) | rs(j)).toByte; j += 1 }
     }
+    override def window(n: Int): Range =
+      if (table ne andTable) 0 until n
+      else {
+        val (a, b) = (l.window(n), r.window(n))
+        val from = math.max(a.start, b.start)
+        from until math.max(from, math.min(a.end, b.end))
+      }
   }
 
   /** `table(x)`: NOT, IS NOT TRUE or a widened rewrite of `x`. */
   private final class MappedPred(x: Pred, table: Array[Int]) extends Pred {
     def eval(i: Int): Int = table(x.eval(i))
-    override def evalAt(indices: Array[Int], out: Array[Byte]): Unit = {
-      x.evalAt(indices, out)
+    override def evalAt(indices: Array[Int], from: Int, until: Int, out: Array[Byte]): Unit = {
+      x.evalAt(indices, from, until, out)
       var j = 0
-      while (j < indices.length) { out(j) = table(out(j)).toByte; j += 1 }
+      while (j < until - from) { out(j) = table(out(j)).toByte; j += 1 }
     }
   }
 
@@ -451,18 +473,37 @@ object RangeEval {
     * family (date days widened to long), evaluated on the column's arrays.
     * The typed leaves repeat [[Pred.evalAt]]'s loop so that `eval` is bound
     * statically there and inlined; the inherited loop calls it virtually.
+    *
+    * TRUE needs a range that reaches the literal from the compared side
+    * (`min < lit` for `<`, `max >= lit` for `>=`, both ends for `=`), so the
+    * window holds the positions that the running bounds let reach it; `<>`
+    * can be TRUE on any range but the literal's point and spans the table.
     */
-  private final class LongsCmp(c: ColumnArrays.Longs, rowCount: Array[Long], lit: Long,
-                               table: Array[Byte]) extends Pred {
+  private final class LongsCmp(c: ColumnArrays.Longs, rowCount: Array[Long], op: CmpOp, lit: Long)
+      extends Pred {
+    private val table = cmpTables(op)
     def eval(i: Int): Int = {
       val st = c.state(i)
       colCmp(st, c.nullCount(i), rowCount(i),
              if (st != ColumnArrays.Ranged) 0
              else table(3 * java.lang.Long.compare(c.max(i), lit) + java.lang.Long.compare(lit, c.min(i)) + 4))
     }
-    override def evalAt(indices: Array[Int], out: Array[Byte]): Unit = {
-      var j = 0
-      while (j < indices.length) { out(j) = eval(indices(j)).toByte; j += 1 }
+    override def evalAt(indices: Array[Int], from: Int, until: Int, out: Array[Byte]): Unit = {
+      var j = from
+      while (j < until) { out(j - from) = eval(indices(j)).toByte; j += 1 }
+    }
+    override def window(n: Int): Range = c.running(rowCount) match {
+      case None => 0 until n
+      case Some(b) =>
+        val (from, until) = op match {
+          case CmpOp.Lt  => (0, b.until(lit, strict = true))
+          case CmpOp.Lte => (0, b.until(lit, strict = false))
+          case CmpOp.Gt  => (b.from(lit, strict = true), n)
+          case CmpOp.Gte => (b.from(lit, strict = false), n)
+          case CmpOp.Eq  => (b.from(lit, strict = false), b.until(lit, strict = false))
+          case CmpOp.Neq => (0, n)
+        }
+        from until math.max(from, until)
     }
   }
 
@@ -476,9 +517,9 @@ object RangeEval {
              else table(3 * Integer.signum(Scalar.compareStrings(c.max(i), lit)) +
                         Integer.signum(Scalar.compareStrings(lit, c.min(i))) + 4))
     }
-    override def evalAt(indices: Array[Int], out: Array[Byte]): Unit = {
-      var j = 0
-      while (j < indices.length) { out(j) = eval(indices(j)).toByte; j += 1 }
+    override def evalAt(indices: Array[Int], from: Int, until: Int, out: Array[Byte]): Unit = {
+      var j = from
+      while (j < until) { out(j - from) = eval(indices(j)).toByte; j += 1 }
     }
   }
 
@@ -575,8 +616,8 @@ object RangeEval {
     case IsNotTrue(x) => new MappedPred(bindPred(x, stats), isNotTrueTable)
     case Cmp(op, c @ Col(n), l @ Lit(v)) =>
       (stats.column(n), v) match {
-        case (a: ColumnArrays.Longs, Scalar.LongV(x)) if !a.dates => new LongsCmp(a, stats.rowCount, x, cmpTables(op))
-        case (a: ColumnArrays.Longs, Scalar.DateV(x)) if a.dates  => new LongsCmp(a, stats.rowCount, x.toLong, cmpTables(op))
+        case (a: ColumnArrays.Longs, Scalar.LongV(x)) if !a.dates => new LongsCmp(a, stats.rowCount, op, x)
+        case (a: ColumnArrays.Longs, Scalar.DateV(x)) if a.dates  => new LongsCmp(a, stats.rowCount, op, x.toLong)
         case (a: ColumnArrays.Strings, Scalar.StringV(x))         => new StringsCmp(a, stats.rowCount, x, cmpTables(op))
         case _ => new CmpPred(op, bindValue(c, stats), bindValue(l, stats))
       }

@@ -69,6 +69,19 @@ object ColumnArrays {
       case (DateV(a), DateV(b)) if dates  => min(i) = a.toLong; max(i) = b.toLong; true
       case _ => false
     }
+
+    @volatile private var runningCache: Option[RunningBounds] = _
+
+    /** The column's [[RunningBounds]] in a table with these row counts, built
+      * on first use; None if some partition may hold a non-NULL value outside
+      * every range: it lacks the column, or has no range but fewer NULLs than
+      * rows.
+      */
+    def running(rowCount: Array[Long]): Option[RunningBounds] = {
+      var r = runningCache
+      if (r == null) { r = RunningBounds.of(this, rowCount); runningCache = r }
+      r
+    }
   }
   final class Doubles(state: Array[Byte], nullCount: Array[Long],
                       val min: Array[Double], val max: Array[Double]) extends ColumnArrays(state, nullCount) {
@@ -142,6 +155,54 @@ object ColumnArrays {
     }
 
     def result: ColumnArrays = if (typed == null || mixed) boxed else typed
+  }
+}
+
+/** Running zone-map bounds of a long or date column, both ascending in
+  * position order: `maxUpTo(i)` is the greatest max among the ranged
+  * partitions `0..i` (`Long.MinValue` if none) and `minFrom(i)` the least
+  * min among the ranged partitions `i until n` (`Long.MaxValue` if none).
+  * So the ranged partitions that reach up to `c` lie at or after the first
+  * position whose `maxUpTo` is at least `c`, and those that reach down to
+  * `c` before the first position whose `minFrom` is above `c`: on a sorted
+  * or clustered column, a narrow window.
+  */
+final class RunningBounds private (val maxUpTo: Array[Long], val minFrom: Array[Long]) {
+  /** The first position whose `maxUpTo` is above `c`, or at least `c` unless `strict`; n if none. */
+  def from(c: Long, strict: Boolean): Int = RunningBounds.first(maxUpTo, c, orEqual = !strict)
+  /** The first position whose `minFrom` is at least `c` if `strict`, else above `c`; n if none. */
+  def until(c: Long, strict: Boolean): Int = RunningBounds.first(minFrom, c, orEqual = strict)
+}
+
+object RunningBounds {
+  private[meta] def of(c: ColumnArrays.Longs, rowCount: Array[Long]): Option[RunningBounds] = {
+    val n = c.state.length
+    var i = 0
+    while (i < n) {
+      val st = c.state(i)
+      if (st == ColumnArrays.Absent || (st == ColumnArrays.NoRange && c.nullCount(i) != rowCount(i))) return None
+      i += 1
+    }
+    val maxUpTo = new Array[Long](n)
+    val minFrom = new Array[Long](n)
+    var hi = Long.MinValue
+    i = 0
+    while (i < n) { if (c.state(i) == ColumnArrays.Ranged) hi = math.max(hi, c.max(i)); maxUpTo(i) = hi; i += 1 }
+    var lo = Long.MaxValue
+    i = n - 1
+    while (i >= 0) { if (c.state(i) == ColumnArrays.Ranged) lo = math.min(lo, c.min(i)); minFrom(i) = lo; i -= 1 }
+    Some(new RunningBounds(maxUpTo, minFrom))
+  }
+
+  /** The first position of the ascending `a` above `c`, or at least `c` if `orEqual`; `a.length` if none. */
+  private def first(a: Array[Long], c: Long, orEqual: Boolean): Int = {
+    var from = 0
+    var to = a.length
+    while (from < to) {
+      val mid = (from + to) >>> 1
+      if (a(mid) > c || (orEqual && a(mid) == c)) to = mid else from = mid + 1
+    }
+    from
   }
 }
 

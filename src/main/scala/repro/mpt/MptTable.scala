@@ -135,9 +135,10 @@ final class MptScanBuilder(dir: String, manifest: MptManifest)
     limitOutcomeStr = LimitPruner.bucket(res.outcome)
     res.outcome match {
       case LimitPruner.LimitOutcome.Pruned(_) =>
-        // Keep the chosen partitions in scan (manifest) order.
-        val chosen = res.scanIndices.toSet
-        scan = scan.filter(chosen)
+        // Keep the chosen partitions in scan (manifest) order: the cover is
+        // drawn from `fully`, which lies in the ascending `scan`.
+        scan = res.scanIndices.clone()
+        java.util.Arrays.sort(scan)
         afterLimitCount = scan.length
         true
       case _ =>
@@ -185,7 +186,8 @@ final class MptScanBuilder(dir: String, manifest: MptManifest)
     stats.limitOutcome = limitOutcomeStr
     stats.afterTopKStatic = ordered.length
     val scanId = ScanMetrics.register(stats)
-    val certified = fully.toSet
+    val certified = new Array[Boolean](manifest.partitions.size)
+    fully.foreach(certified(_) = true)
     val parts = ordered.toVector.map { i =>
       val e = manifest.partitions(i)
       val best = topK.flatMap(p => Option(TopKPruner.best(manifest.stats.column(p.orderCol), i, p.desc)))
