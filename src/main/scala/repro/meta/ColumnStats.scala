@@ -10,24 +10,6 @@ package repro.meta
   */
 final case class ColumnStats(min: Option[Scalar], max: Option[Scalar], nullCount: Long)
 
-object ColumnStats {
-  /** Fold a stream of raw values into stats. Values must share a type family. */
-  def ofValues(values: Iterable[Any]): ColumnStats = {
-    var nulls = 0L
-    var lo: Option[Scalar] = None
-    var hi: Option[Scalar] = None
-    values.foreach { v =>
-      Scalar.fromAny(v) match {
-        case None => nulls += 1
-        case Some(s) =>
-          lo = lo.flatMap(Scalar.min(_, s)).orElse(Some(s))
-          hi = hi.flatMap(Scalar.max(_, s)).orElse(Some(s))
-      }
-    }
-    ColumnStats(lo, hi, nulls)
-  }
-}
-
 /** Per-partition metadata: identifier, row count and per-column stats.
   * This is the record the paper's metadata service serves to the pruner.
   */

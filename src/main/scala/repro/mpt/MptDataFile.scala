@@ -56,18 +56,21 @@ object MptDataFile {
     def rowCount: Long = rows
     def stats: Vector[ColumnStats] = columns.map(_.stats).toVector
 
-    /** Write the data file and force it to the device before returning, so
-      * a manifest written afterwards never names a file a power loss could
-      * leave incomplete.
-      */
-    def writeTo(file: File): Unit = {
+    /** The data file's bytes, ready to be written. */
+    def image: ByteBuffer = {
       val lengths = columns.map(_.chunkLength(rows))
       val out = ByteBuffer.allocate(12 + 4 * columns.length + lengths.sum).order(LE)
       out.putInt(Magic).putInt(rows).putInt(columns.length)
       lengths.foreach(out.putInt)
       columns.foreach(_.writeChunk(out, rows))
-      writeForced(file.toPath, out.flip())
+      out.flip()
     }
+
+    /** Write the data file and force it to the device before returning, so
+      * a manifest written afterwards never names a file a power loss could
+      * leave incomplete.
+      */
+    def writeTo(file: File): Unit = writeForced(file.toPath, image)
   }
 
   /** Write `bytes` as the whole content of `path` and force it to the device. */
@@ -235,19 +238,35 @@ object MptDataFile {
   // ---- reading -------------------------------------------------------------
 
   /** Read a data file whole. */
-  def read(file: File): Chunks = new Chunks(Files.readAllBytes(file.toPath), file)
+  def read(file: File): Chunks = new Chunks(Files.readAllBytes(file.toPath), 0, file)
 
-  /** A data file in memory, with the start of each column chunk. */
-  final class Chunks private[MptDataFile] (bytes: Array[Byte], file: File) {
+  /** A data file in memory, from `bytes(offset)` to the end of `bytes`, with
+    * the start of each column chunk. The header's chunk lengths must add up
+    * to the bytes there are, and a chunk must have the length its type and
+    * row count give, before it is decoded: the bulk copies into a vector do
+    * not check their bounds. A file that fails either check is refused with
+    * an `IllegalArgumentException` naming `file`.
+    */
+  final class Chunks private[mpt] (bytes: Array[Byte], offset: Int, file: File) {
     private val bb = ByteBuffer.wrap(bytes).order(LE)
-    require(bytes.length >= 12 && bb.getInt(0) == Magic, s"not an mpt data file: $file")
-    val rowCount: Int = bb.getInt(4)
+    private val size = bytes.length - offset
+    require(size >= 12 && bb.getInt(offset) == Magic, s"not an mpt data file: $file")
+    val rowCount: Int = bb.getInt(offset + 4)
     private val starts: Array[Int] = {
-      val n = bb.getInt(8)
-      val s = new Array[Int](n)
-      var p = 12 + 4 * n
+      val n = bb.getInt(offset + 8)
+      require(rowCount >= 0 && n >= 0 && 12 + 4L * n <= size, s"corrupt mpt data file header: $file")
+      val s = new Array[Int](n + 1)
+      var p = 12L + 4 * n
       var c = 0
-      while (c < n) { s(c) = p; p += bb.getInt(12 + 4 * c); c += 1 }
+      while (c < n) {
+        s(c) = offset + p.toInt
+        val len = bb.getInt(offset + 12 + 4 * c)
+        require(len >= 0, s"corrupt mpt data file: chunk $c of $file has length $len")
+        p += len
+        c += 1
+      }
+      require(p == size, s"corrupt mpt data file: its chunks take $p bytes, but $file holds $size")
+      s(n) = offset + size
       s
     }
 
@@ -256,6 +275,8 @@ object MptDataFile {
       * positions 0, 1, ….
       */
     def decode(col: Int, dt: DataType, sel: Array[Int]): OnHeapColumnVector = {
+      require(col >= 0 && col < starts.length - 1, s"mpt data file $file has no column $col")
+      check(col, dt)
       val n = if (sel == null) rowCount else sel.length
       val v = new OnHeapColumnVector(math.max(n, 1), dt)
       def row(j: Int): Int = if (sel == null) j else sel(j)
@@ -289,6 +310,31 @@ object MptDataFile {
         }
       }
       v
+    }
+
+    /** Refuse chunk `col` unless it is exactly what a column of type `dt`
+      * and `rowCount` rows takes: a null-flag byte of 0 or 1 and the flags,
+      * then the values; for strings, offsets that start at 0 and ascend to
+      * the end of the chunk.
+      */
+    private def check(col: Int, dt: DataType): Unit = {
+      val (start, end) = (starts(col), starts(col + 1))
+      def corrupt(what: String) = s"corrupt mpt data file: chunk $col of $file $what"
+      require(end > start && (bytes(start) & ~1) == 0, corrupt("has no null-flag byte of 0 or 1"))
+      val values = start + 1L + (if (bytes(start) == 1) rowCount else 0)
+      if (dt != StringType)
+        require(values + rowCount.toLong * dt.defaultSize == end, corrupt(s"does not hold $rowCount $dt values"))
+      else {
+        val data = values + 4L * rowCount + 4
+        require(data <= end, corrupt(s"is too short for ${rowCount + 1} string offsets"))
+        var last = 0
+        for (r <- 0 to rowCount) {
+          val o = bb.getInt(values.toInt + 4 * r)
+          require(o >= last && (r > 0 || o == 0), corrupt(s"has string offset $o after $last"))
+          last = o
+        }
+        require(data + last == end, corrupt(s"holds ${end - data} string bytes, its offsets $last"))
+      }
     }
 
     private def putFixed(v: OnHeapColumnVector, dt: DataType, at: Int, count: Int, src: Int): Unit = dt match {

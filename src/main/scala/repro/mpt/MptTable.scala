@@ -410,7 +410,7 @@ object MptReaderFactory {
     * them: ints widen to longs and dates are epoch days; an all-NULL vector
     * is boxed, as [[ColumnVec.of]] gives it.
     */
-  private def columnVec(v: ColumnVector, dt: DataType, n: Int): ColumnVec = {
+  private[mpt] def columnVec(v: ColumnVector, dt: DataType, n: Int): ColumnVec = {
     val nulls = if (v.hasNull) Array.tabulate(n)(v.isNullAt) else null
     dt match {
       case _ if v.numNulls == n => new ColumnVec.Scalars(new Array[Scalar](n))

@@ -76,13 +76,7 @@ class PruningSoundnessSpec extends AnyFunSuite {
 
   private def metaOf(id: Int, rows: Vector[Row]): PartitionMeta = {
     val cols = Seq("x", "d", "s").map { c =>
-      c -> ColumnStats.ofValues(rows.map(r => r(c) match {
-        case null              => null
-        case LongV(v)          => v
-        case DoubleV(v)        => v
-        case StringV(v)        => v
-        case other             => throw new IllegalStateException(other.toString)
-      }))
+      c -> ColumnVec.of(rows.map(r => r(c)).toArray).stats(rows.size)
     }.toMap
     PartitionMeta(id, rows.size.toLong, cols)
   }
@@ -178,7 +172,7 @@ class PruningSoundnessSpec extends AnyFunSuite {
     allNull <- Gen.prob(0.2)
     stats <- Gen.sequence[List[(String, ColumnStats)], (String, ColumnStats)](present.map { c =>
       val value = if (allNull) Gen.const(null) else Gen.frequency(1 -> Gen.const(null), 4 -> edgeColumns(c))
-      Gen.listOfN(rows, value).map(vs => c -> ColumnStats.ofValues(vs))
+      Gen.listOfN(rows, value).map(vs => c -> ColumnVec.of(vs.map(Scalar.fromAny(_).orNull).toArray).stats(rows))
     })
   } yield PartitionMeta(id, rows.toLong, stats.toMap)
 

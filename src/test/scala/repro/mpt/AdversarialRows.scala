@@ -8,8 +8,8 @@ import repro.meta.Scalar
 
 /** Random tables of every mpt column type, drawn from the values a codec or
   * an evaluator gets wrong first: ±0.0, NaN, ±Inf, integral extremes,
-  * supplementary characters, empty strings, the manifest codec's special
-  * characters and its NULL marker, and an all-null column.
+  * supplementary characters, empty strings, tab, newline, backslash and a
+  * literal `\N`, and an all-null column.
   */
 object AdversarialRows {
   val schema: StructType = StructType(Seq(

@@ -71,7 +71,7 @@ class MptRoundTripSpec extends SparkSpec {
         val values = storedValues(dir, e, m.schema)
         assert(values.size == e.rowCount)
         m.schema.fields.indices.foreach { i =>
-          assert(exact(e.stats(i)) == exact(ColumnStats.ofValues(values.map(_(i)))),
+          assert(exact(e.stats(i)) == exact(repro.core.ColumnVec.of(values.map(v => Scalar.fromAny(v(i)).orNull).toArray).stats(values.size)),
                  s"layout $layout, partition ${e.id}, column ${m.schema.fields(i).name}")
         }
       }

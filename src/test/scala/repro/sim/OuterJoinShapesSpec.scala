@@ -74,11 +74,13 @@ class OuterJoinShapesSpec extends SparkSpec {
   }
 
   test("column stats builder handles mixed nulls") {
-    val stats = repro.meta.ColumnStats.ofValues(Seq(5L, null, 2L, 9L, null))
+    def fold(values: Any*) =
+      repro.core.ColumnVec.of(values.map(Scalar.fromAny(_).orNull).toArray).stats(values.size)
+    val stats = fold(5L, null, 2L, 9L, null)
     assert(stats.min.contains(LongV(2)))
     assert(stats.max.contains(LongV(9)))
     assert(stats.nullCount == 2)
-    val allNull = repro.meta.ColumnStats.ofValues(Seq(null, null))
+    val allNull = fold(null, null)
     assert(allNull.min.isEmpty && allNull.max.isEmpty && allNull.nullCount == 2)
   }
 }
