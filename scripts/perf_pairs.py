@@ -2,7 +2,7 @@
 """Alternating parent/change pairs of one perfbench workload.
 
     python3 scripts/perf_pairs.py --base <rev> [--change <rev>|WORKTREE] \
-        --workload <name> [--pairs 10] [--seed0 1001] [--seconds 10] [--trace 0]
+        --workload <name> [--pairs 10] [--seed0 1001] [--seconds 10] [--trace 0] [--json PATH]
 
 Each side is `git archive <rev>` unpacked into its own temporary directory,
 so that both build from their committed sources alone (a built checkout's
@@ -22,9 +22,13 @@ metric's bound. Under `--trace 0` it also reports the per-technique
 latencies that run.py prints as "(not guarded)" (`filter_p50_ms`,
 `join_p50_ms`, ...), labelled unguarded, so that a pair shows which query
 class moved. Any run that is not `correct` or has failed operations is
-flagged, and the exit status is then 1. The script writes nothing into the
-checkout; `--workdir` keeps the unpacked sides, builds included, for later
-sets of pairs over the same trees.
+flagged, and the exit status is then 1. `--json PATH` also writes the set
+to PATH: both revisions, the seeds, per metric each side's median, quartiles
+and values, the wins and the verdict, and the flagged runs; a PATH that
+already holds sets gets this one appended, so that one file can hold a set
+per workload. Without `--json` the script writes nothing into the checkout;
+`--workdir` keeps the unpacked sides, builds included, for later sets of
+pairs over the same trees.
 """
 
 import argparse
@@ -111,8 +115,8 @@ def directions():
     return out, [m["name"] for m in bench["end_to_end"]]
 
 
-def report(pairs, only_end_to_end):
-    """One line per metric: the end-to-end ones and then those run.py does not
+def summarize(pairs, only_end_to_end):
+    """One entry per metric: the end-to-end ones and then those run.py does not
     guard if `only_end_to_end`, else every metric of the runs."""
     dirs, end_to_end = directions()
     if only_end_to_end:
@@ -120,8 +124,7 @@ def report(pairs, only_end_to_end):
         rows = [(n, "metrics") for n in end_to_end] + [(n, "unguarded") for n in unguarded]
     else:
         rows = [(n, "metrics") for n in sorted({k for b, c in pairs for k in b["metrics"]})]
-    print(f"{'metric':<40} {'parent median [q1, q3]':>36} {'change median [q1, q3]':>36} {'change %':>9} "
-          f"{'wins':>6}  verdict")
+    out = []
     for name, field in rows:
         got = [(b[field][name], c[field][name]) for b, c in pairs
                if name in b.get(field, {}) and name in c.get(field, {})]
@@ -132,19 +135,47 @@ def report(pairs, only_end_to_end):
         cq1, cmed, cq3 = quartiles(change)
         better, bound = dirs.get(name, (None, None))
         rel = (cmed - bmed) / bmed * 100 if bmed else 0.0
+        won = None
         if better is None:
-            wins, verdict = "-", "no direction"
+            verdict = "no direction"
         else:
             sign = -1 if better == "lower" else 1
             won = sum(1 for x, y in got if sign * (y - x) > 0)
-            wins = f"{won}/{len(got)}"
             gain = won >= 0.9 * len(got) and sign * (cmed - bmed) > (bq3 - bq1)
             verdict = "too few pairs" if len(got) < 10 else "gain" if gain else "no gain shown"
             if bound is not None and bmed and sign * (cmed - bmed) < 0 and abs(cmed - bmed) / abs(bmed) > bound:
                 verdict += f"; WORSE BEYOND BOUND {bound}"
-        label = f"{name} (unguarded)" if field == "unguarded" else name
-        print(f"{label:<40} {f'{bmed:.6g} [{bq1:.6g}, {bq3:.6g}]':>36} {f'{cmed:.6g} [{cq1:.6g}, {cq3:.6g}]':>36} "
-              f"{rel:>+8.2f}% {wins:>6}  {verdict}")
+        out.append({"metric": name, "guarded": field == "metrics", "better": better, "bound": bound,
+                    "parent": {"median": bmed, "q1": bq1, "q3": bq3, "values": base},
+                    "change": {"median": cmed, "q1": cq1, "q3": cq3, "values": change},
+                    "change_pct": rel, "wins": won, "pairs": len(got), "verdict": verdict})
+    return out
+
+
+def report(metrics):
+    """Print one line per metric of `summarize`."""
+    print(f"{'metric':<40} {'parent median [q1, q3]':>36} {'change median [q1, q3]':>36} {'change %':>9} "
+          f"{'wins':>6}  verdict")
+    def spread(side):
+        return f"{side['median']:.6g} [{side['q1']:.6g}, {side['q3']:.6g}]"
+
+    for m in metrics:
+        wins = "-" if m["wins"] is None else f"{m['wins']}/{m['pairs']}"
+        label = m["metric"] if m["guarded"] else f"{m['metric']} (unguarded)"
+        print(f"{label:<40} {spread(m['parent']):>36} {spread(m['change']):>36} "
+              f"{m['change_pct']:>+8.2f}% {wins:>6}  {m['verdict']}")
+
+
+def write_json(path, pair_set):
+    """Write `pair_set` to `path`, or append it to the list of sets `path` holds."""
+    sets = pair_set
+    if os.path.isfile(path):
+        with open(path) as f:
+            old = json.load(f)
+        sets = (old if isinstance(old, list) else [old]) + [pair_set]
+    with open(path, "w") as f:
+        json.dump(sets, f, indent=1)
+        f.write("\n")
 
 
 def main():
@@ -158,13 +189,16 @@ def main():
     ap.add_argument("--trace", type=int, default=0, choices=(0, 1))
     ap.add_argument("--workdir", help="where to unpack the two sides and keep them, builds included, "
                                       "for later sets (default: a temporary directory, removed after)")
+    ap.add_argument("--json", metavar="PATH", help="also write the set to PATH as JSON; if PATH holds "
+                                                   "a list of sets, this set is appended to it")
     args = ap.parse_args()
 
     work = args.workdir or tempfile.mkdtemp(prefix="perf_pairs.")
     sides = {"parent": os.path.join(work, "parent"), "change": os.path.join(work, "change")}
+    commits = {}
     try:
         for side, rev in (("parent", args.base), ("change", args.change)):
-            commit = resolve(rev)
+            commits[side] = commit = resolve(rev)
             print(f"{side}: {rev} = {commit}", flush=True)
             unpack(commit, sides[side])
         pairs, flagged = [], []
@@ -185,9 +219,17 @@ def main():
                               for k in progress)
             print(f"pair {i} seed {seed} ({order[0]} first): {shown}", flush=True)
         print()
-        report(pairs, only_end_to_end=args.trace == 0)
+        metrics = summarize(pairs, only_end_to_end=args.trace == 0)
+        report(metrics)
         for line in flagged:
             print("FLAGGED " + line)
+        if args.json:
+            write_json(args.json, {
+                "workload": args.workload, "trace": args.trace, "seconds": args.seconds,
+                "parent": {"rev": args.base, "commit": commits["parent"]},
+                "change": {"rev": args.change, "commit": commits["change"]},
+                "seeds": [args.seed0 + i for i in range(args.pairs)],
+                "metrics": metrics, "flagged": flagged})
         sys.exit(1 if flagged else 0)
     finally:
         if not args.workdir:

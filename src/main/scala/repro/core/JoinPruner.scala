@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.meta.{ColumnArrays, ColumnStats, PartitionMeta, Scalar, TableStats, ValueRange}
+import repro.meta.{ColumnArrays, PartitionMeta, Scalar, TableStats, ValueRange}
 
 /** §6 — partition pruning for JOIN queries (coarse-grained sideways
   * information passing).
@@ -267,30 +267,28 @@ object JoinPruner {
                  summary: BuildSummary): Array[Int] = {
     val kept = new Array[Int](indices.length)
     var n = 0
-    (stats.column(joinCol), summary.longs) match {
-      case (col: ColumnArrays.Longs, longs) if !col.dates && longs != null =>
+    val col = stats.column(joinCol)
+    (col, summary.longs) match {
+      case (keys: ColumnArrays.Longs, longs) if !keys.dates && longs != null =>
         var j = 0
         while (j < indices.length) {
           val i = indices(j)
-          val keep = col.state(i) match {
-            case ColumnArrays.Ranged  => longs.overlaps(col.min(i), col.max(i))
-            case ColumnArrays.Absent  => true
-            case _                    => mayJoin(stats.metas(i), joinCol, summary)
-          }
+          val keep =
+            if (keys.state(i) == ColumnArrays.Ranged) longs.overlaps(keys.min(i), keys.max(i))
+            else mayJoin(keys, i, summary)
           if (keep) { kept(n) = i; n += 1 }
           j += 1
         }
       case _ =>
-        indices.foreach(i => if (mayJoin(stats.metas(i), joinCol, summary)) { kept(n) = i; n += 1 })
+        indices.foreach(i => if (mayJoin(col, i, summary)) { kept(n) = i; n += 1 })
     }
     java.util.Arrays.copyOf(kept, n)
   }
 
-  /** May partition `m` hold a key that joins? */
-  private def mayJoin(m: PartitionMeta, joinCol: String, summary: BuildSummary): Boolean =
-    m.col(joinCol) match {
-      case Some(ColumnStats(Some(mn), Some(mx), _)) => summary.mayOverlap(ValueRange(mn, mx))
-      case Some(ColumnStats(None, None, _))         => false // all NULL keys
-      case _                                        => true  // missing stats: keep
-    }
+  /** May partition `i` of the join column `col` hold a key that joins? */
+  private def mayJoin(col: ColumnArrays, i: Int, summary: BuildSummary): Boolean = col.state(i) match {
+    case ColumnArrays.Ranged  => summary.mayOverlap(ValueRange(col.bound(i, max = false), col.bound(i, max = true)))
+    case ColumnArrays.NoRange => false // all NULL keys
+    case _                    => true  // missing stats: keep
+  }
 }

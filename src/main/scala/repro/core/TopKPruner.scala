@@ -107,7 +107,7 @@ object TopKPruner {
         val pred = q.pred.map(RowEval.bind(_, p)).orNull
         val qualifies = if (qualifier == null) null else qualifier(p)
         val col = p.column(q.orderCol)
-        val id = stats.metas(i).id
+        val id = stats.ids(i)
         var r = 0
         while (r < p.rowCount) {
           if ((pred == null || pred.passes(r)) && (qualifies == null || qualifies(r))) {

@@ -1,5 +1,7 @@
 package repro.meta
 
+import repro.core.ColumnVec
+
 /** Zone-map / SMA record for one column of one micro-partition:
   * min, max over non-null values, plus the null count.
   *
@@ -23,13 +25,19 @@ final case class PartitionMeta(id: Int, rowCount: Long, cols: Map[String, Column
   * empty ([[ColumnArrays.NoRange]]) — or has a min/max range
   * ([[ColumnArrays.Ranged]]); `min`/`max` are meaningful only for the last.
   * The subclass is the type family of every range in the column; a column
-  * whose ranges mix families keeps boxed [[Scalar]]s.
+  * whose ranges mix families keeps boxed [[Scalar]]s. Built only by
+  * [[ColumnArrays.of]].
   */
 sealed abstract class ColumnArrays(val state: Array[Byte], val nullCount: Array[Long]) {
   /** Partition `i`'s max if `max`, else its min, boxed; `i` must be ranged. */
   def bound(i: Int, max: Boolean): Scalar
-  /** Store partition `i`'s range; false if it is not of this column's family. */
-  private[meta] def put(i: Int, lo: Scalar, hi: Scalar): Boolean
+
+  /** Partition `i`'s record of the column, or None if it lacks the column. */
+  def statsAt(i: Int): Option[ColumnStats] = state(i) match {
+    case ColumnArrays.Absent  => None
+    case ColumnArrays.NoRange => Some(ColumnStats(None, None, nullCount(i)))
+    case _                    => Some(ColumnStats(Some(bound(i, max = false)), Some(bound(i, max = true)), nullCount(i)))
+  }
 }
 
 object ColumnArrays {
@@ -40,16 +48,11 @@ object ColumnArrays {
   import Scalar._
 
   /** Long values, or date days when `dates`. */
-  final class Longs(state: Array[Byte], nullCount: Array[Long], val dates: Boolean,
-                    val min: Array[Long], val max: Array[Long]) extends ColumnArrays(state, nullCount) {
+  final class Longs private[ColumnArrays] (state: Array[Byte], nullCount: Array[Long], val dates: Boolean,
+                                           val min: Array[Long], val max: Array[Long]) extends ColumnArrays(state, nullCount) {
     def bound(i: Int, max: Boolean): Scalar = {
       val v = if (max) this.max(i) else min(i)
       if (dates) DateV(v.toInt) else LongV(v)
-    }
-    private[meta] def put(i: Int, lo: Scalar, hi: Scalar): Boolean = (lo, hi) match {
-      case (LongV(a), LongV(b)) if !dates => min(i) = a; max(i) = b; true
-      case (DateV(a), DateV(b)) if dates  => min(i) = a.toLong; max(i) = b.toLong; true
-      case _ => false
     }
 
     @volatile private var runningCache: Option[RunningBounds] = _
@@ -65,79 +68,39 @@ object ColumnArrays {
       r
     }
   }
-  final class Doubles(state: Array[Byte], nullCount: Array[Long],
-                      val min: Array[Double], val max: Array[Double]) extends ColumnArrays(state, nullCount) {
+  final class Doubles private[ColumnArrays] (state: Array[Byte], nullCount: Array[Long],
+                                             val min: Array[Double], val max: Array[Double]) extends ColumnArrays(state, nullCount) {
     def bound(i: Int, max: Boolean): Scalar = DoubleV(if (max) this.max(i) else min(i))
-    private[meta] def put(i: Int, lo: Scalar, hi: Scalar): Boolean = (lo, hi) match {
-      case (DoubleV(a), DoubleV(b)) => min(i) = a; max(i) = b; true
-      case _ => false
-    }
   }
-  final class Strings(state: Array[Byte], nullCount: Array[Long],
-                      val min: Array[String], val max: Array[String]) extends ColumnArrays(state, nullCount) {
+  final class Strings private[ColumnArrays] (state: Array[Byte], nullCount: Array[Long],
+                                             val min: Array[String], val max: Array[String]) extends ColumnArrays(state, nullCount) {
     def bound(i: Int, max: Boolean): Scalar = StringV(if (max) this.max(i) else min(i))
-    private[meta] def put(i: Int, lo: Scalar, hi: Scalar): Boolean = (lo, hi) match {
-      case (StringV(a), StringV(b)) => min(i) = a; max(i) = b; true
-      case _ => false
-    }
   }
-  final class Bools(state: Array[Byte], nullCount: Array[Long],
-                    val min: Array[Boolean], val max: Array[Boolean]) extends ColumnArrays(state, nullCount) {
+  final class Bools private[ColumnArrays] (state: Array[Byte], nullCount: Array[Long],
+                                           val min: Array[Boolean], val max: Array[Boolean]) extends ColumnArrays(state, nullCount) {
     def bound(i: Int, max: Boolean): Scalar = BoolV(if (max) this.max(i) else min(i))
-    private[meta] def put(i: Int, lo: Scalar, hi: Scalar): Boolean = (lo, hi) match {
-      case (BoolV(a), BoolV(b)) => min(i) = a; max(i) = b; true
-      case _ => false
-    }
   }
-  final class Scalars(state: Array[Byte], nullCount: Array[Long],
-                      val min: Array[Scalar], val max: Array[Scalar]) extends ColumnArrays(state, nullCount) {
+  final class Scalars private[ColumnArrays] (state: Array[Byte], nullCount: Array[Long],
+                                             val min: Array[Scalar], val max: Array[Scalar]) extends ColumnArrays(state, nullCount) {
     def bound(i: Int, max: Boolean): Scalar = if (max) this.max(i) else min(i)
-    private[meta] def put(i: Int, lo: Scalar, hi: Scalar): Boolean = { min(i) = lo; max(i) = hi; true }
   }
 
-  /** Transpose column `name` of the given partitions. */
-  def of(metas: IndexedSeq[PartitionMeta], name: String): ColumnArrays = {
-    val b = new Builder(metas.size)
-    metas.foreach(m => b.add(m.cols.getOrElse(name, null)))
-    b.result
-  }
-
-  /** Collects one column partition by partition: the ranges boxed and, while
-    * they share the first range's family, also in that family's arrays.
-    * The per-partition step `add` runs inside the collection's `foreach`, so
-    * the JIT compiles both within the first tables; a loop written in `of`
-    * runs once per scan and would stay interpreted for many scans.
+  /** The column whose partitions have these states and null counts and,
+    * where ranged, the bounds `mins(i)` and `maxs(i)`. A min and a max
+    * vector of one typed family are kept without a copy, dates widened to
+    * long days; boxed vectors, or a min and a max of different families,
+    * give [[Scalars]].
     */
-  private final class Builder(n: Int) {
-    private val state = new Array[Byte](n)
-    private val nullCount = new Array[Long](n)
-    private val boxed = new Scalars(state, nullCount, new Array[Scalar](n), new Array[Scalar](n))
-    private var typed: ColumnArrays = null
-    private var mixed = false
-    private var i = 0
-
-    /** The next partition's stats, or null if it lacks the column. */
-    def add(cs: ColumnStats): Unit = if (cs == null) i += 1 else {
-      nullCount(i) = cs.nullCount
-      if (cs.min.isEmpty || cs.max.isEmpty) state(i) = NoRange
-      else {
-        state(i) = Ranged
-        val (lo, hi) = (cs.min.get, cs.max.get)
-        boxed.put(i, lo, hi)
-        if (typed == null) typed = lo match {
-          case _: LongV   => new Longs(state, nullCount, dates = false, new Array[Long](n), new Array[Long](n))
-          case _: DateV   => new Longs(state, nullCount, dates = true, new Array[Long](n), new Array[Long](n))
-          case _: DoubleV => new Doubles(state, nullCount, new Array[Double](n), new Array[Double](n))
-          case _: StringV => new Strings(state, nullCount, new Array[String](n), new Array[String](n))
-          case _: BoolV   => new Bools(state, nullCount, new Array[Boolean](n), new Array[Boolean](n))
-        }
-        if (!mixed && !typed.put(i, lo, hi)) mixed = true
-      }
-      i += 1
+  def of(state: Array[Byte], nullCount: Array[Long], mins: ColumnVec, maxs: ColumnVec): ColumnArrays =
+    (mins, maxs) match {
+      case (lo: ColumnVec.Longs, hi: ColumnVec.Longs)     => new Longs(state, nullCount, dates = false, lo.values, hi.values)
+      case (lo: ColumnVec.Dates, hi: ColumnVec.Dates)     =>
+        new Longs(state, nullCount, dates = true, lo.days.map(_.toLong), hi.days.map(_.toLong))
+      case (lo: ColumnVec.Doubles, hi: ColumnVec.Doubles) => new Doubles(state, nullCount, lo.values, hi.values)
+      case (lo: ColumnVec.Strings, hi: ColumnVec.Strings) => new Strings(state, nullCount, lo.values, hi.values)
+      case (lo: ColumnVec.Bools, hi: ColumnVec.Bools)     => new Bools(state, nullCount, lo.values, hi.values)
+      case _ => new Scalars(state, nullCount, Array.tabulate(state.length)(mins.get), Array.tabulate(state.length)(maxs.get))
     }
-
-    def result: ColumnArrays = if (typed == null || mixed) boxed else typed
-  }
 }
 
 /** Running zone-map bounds of a long or date column, both ascending in
@@ -188,24 +151,35 @@ object RunningBounds {
   }
 }
 
-/** A table's zone maps in struct-of-arrays form: the partition records plus
-  * their row counts and, per column, [[ColumnArrays]] transposed on first
-  * use. Built once per table (a `MemTable`, an mpt manifest) so that
-  * pruning can bind a predicate to the arrays once and then evaluate every
-  * partition by index; only the columns some bound predicate references are
-  * ever transposed.
+/** A table's zone maps in struct-of-arrays form: per partition position its
+  * id and row count, and per column its [[ColumnArrays]]. Built once per
+  * table (a `MemTable`, an mpt manifest) so that pruning can bind a
+  * predicate to the arrays once and then evaluate every partition by index.
+  * A column no partition has reads as one shared column absent everywhere.
   *
   * The arrays here, and the position arrays of pruning results built from
   * them, are shared by every query over the table: read them, never write.
+  * `records` are the partition records the arrays were built from, if any
+  * (null: [[metas]] builds them from the arrays on first read).
   */
-final class TableStats private (val metas: IndexedSeq[PartitionMeta], val rowCount: Array[Long]) {
-  private val columns = new java.util.concurrent.ConcurrentHashMap[String, ColumnArrays]()
+final class TableStats private[repro] (val ids: Array[Int], val rowCount: Array[Long],
+                                       columns: Map[String, ColumnArrays], records: IndexedSeq[PartitionMeta]) {
+  private lazy val absent: ColumnArrays = {
+    val none = new ColumnVec.Scalars(new Array[Scalar](ids.length))
+    ColumnArrays.of(new Array[Byte](ids.length), new Array[Long](ids.length), none, none)
+  }
 
   /** Column `name` over every partition; absent everywhere if no partition has it. */
-  def column(name: String): ColumnArrays = {
-    val c = columns.get(name)
-    if (c != null) c else columns.computeIfAbsent(name, ColumnArrays.of(metas, _))
-  }
+  def column(name: String): ColumnArrays = columns.getOrElse(name, absent)
+
+  /** Partition `i`'s record, built from the arrays. */
+  def record(i: Int): PartitionMeta =
+    PartitionMeta(ids(i), rowCount(i), columns.flatMap { case (c, a) => a.statsAt(i).map(c -> _) })
+
+  /** The partition records, in position order: those the stats were built
+    * from, or else built from the arrays on first read.
+    */
+  lazy val metas: IndexedSeq[PartitionMeta] = if (records != null) records else Vector.tabulate(ids.length)(record)
 
   /** The positions of all partitions, `0 until n`. */
   lazy val allIndices: Array[Int] = Array.range(0, rowCount.length)
@@ -215,18 +189,40 @@ final class TableStats private (val metas: IndexedSeq[PartitionMeta], val rowCou
 }
 
 object TableStats {
+  /** The stats of these records, which they keep as their `metas`: each
+    * column any record names is gathered into boxed bounds and typed by
+    * [[ColumnVec.of]].
+    */
   def of(metas: IndexedSeq[PartitionMeta]): TableStats = {
-    val rowCount = new Array[Long](metas.size)
+    val n = metas.size
+    val ids = new Array[Int](n)
+    val rowCount = new Array[Long](n)
     var i = 0
-    while (i < rowCount.length) { rowCount(i) = metas(i).rowCount; i += 1 }
-    new TableStats(metas, rowCount)
+    while (i < n) { ids(i) = metas(i).id; rowCount(i) = metas(i).rowCount; i += 1 }
+    val columns = metas.iterator.flatMap(_.cols.keysIterator).toSet.iterator.map { (name: String) =>
+      val state = new Array[Byte](n)
+      val nullCount = new Array[Long](n)
+      val mins, maxs = new Array[Scalar](n)
+      var p = 0
+      while (p < n) {
+        metas(p).cols.get(name) match {
+          case Some(ColumnStats(Some(lo), Some(hi), nulls)) =>
+            state(p) = ColumnArrays.Ranged; nullCount(p) = nulls; mins(p) = lo; maxs(p) = hi
+          case Some(cs) => state(p) = ColumnArrays.NoRange; nullCount(p) = cs.nullCount
+          case None     =>
+        }
+        p += 1
+      }
+      name -> ColumnArrays.of(state, nullCount, ColumnVec.of(mins), ColumnVec.of(maxs))
+    }.toMap
+    new TableStats(ids, rowCount, columns, metas)
   }
 
   @volatile private var last: TableStats = _
 
   /** The stats of `parts`, reusing those of the previous call when `parts`
     * is the same indexed sequence — as when a run of predicates prunes one
-    * table's partitions — so that its columns are transposed once.
+    * table's partitions — so that its columns are gathered once.
     */
   def ofSeq(parts: Seq[PartitionMeta]): TableStats = {
     val prev = last

@@ -10,9 +10,11 @@ import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
 
-import repro.meta.{ColumnStats, PartitionMeta, Scalar, TableStats}
+import repro.meta.{ColumnArrays, ColumnStats, PartitionMeta, Scalar, TableStats}
 
-/** The mpt table manifest: schema + per-partition zone-map metadata.
+/** The mpt table manifest: the schema, each partition's data file and the
+  * partitions' zone maps as [[TableStats]] arrays, all by partition position.
+  * `partitions` and `metas` are record views built from them.
   *
   * This is the moral equivalent of Snowflake's metadata service / an Iceberg
   * manifest file: it lets the planner prune micro-partitions without opening
@@ -34,27 +36,31 @@ import repro.meta.{ColumnStats, PartitionMeta, Scalar, TableStats}
   * ([[repro.meta.Scalar.compareStrings]]) on supplementary characters, and
   * `mpt-v3` manifests were text.
   */
-final case class MptManifest(schema: StructType, partitions: Vector[MptPartitionEntry]) {
-  def metas: Seq[PartitionMeta] = partitions.map(_.meta(schema))
-  /** The partitions' zone maps for pruning, built on first use; its
-    * `metas(i)` is partition `i`'s record, and columns are transposed to
-    * arrays as predicates bind to them.
-    */
-  lazy val stats: TableStats = TableStats.of(metas.toIndexedSeq)
+final class MptManifest(val schema: StructType, val files: Array[String], val stats: TableStats) {
+  /** Partition `i`'s entry, with its stats in schema order; built on first read. */
+  lazy val partitions: Vector[MptPartitionEntry] = Vector.tabulate(files.length) { i =>
+    MptPartitionEntry(stats.ids(i), files(i), stats.rowCount(i),
+                      schema.fieldNames.iterator.flatMap(stats.column(_).statsAt(i)).toVector)
+  }
+
+  /** The partitions' records, built from the zone maps on every call. */
+  def metas: Seq[PartitionMeta] = Vector.tabulate(files.length)(stats.record)
 }
 
 /** One micro-partition: data file name + row count + per-column stats
   * (aligned with the manifest schema order).
   */
-final case class MptPartitionEntry(id: Int, file: String, rowCount: Long,
-                                   stats: Vector[ColumnStats]) {
-  def meta(schema: StructType): PartitionMeta =
-    PartitionMeta(id, rowCount, schema.fieldNames.zip(stats).toMap)
-}
+final case class MptPartitionEntry(id: Int, file: String, rowCount: Long, stats: Vector[ColumnStats])
 
 object MptManifest {
   val FileName = "_manifest.mpt"
   val Version = "mpt-v4"
+
+  /** The manifest of `entries`, whose stats are in `schema`'s column order. */
+  def apply(schema: StructType, entries: Vector[MptPartitionEntry]): MptManifest =
+    new MptManifest(schema, entries.map(_.file).toArray, TableStats.of(entries.map { e =>
+      PartitionMeta(e.id, e.rowCount, schema.fieldNames.zip(e.stats).toMap)
+    }))
 
   /** Write the manifest to a temporary file in `dir`, then move it over
     * `_manifest.mpt` in one atomic step, so a reader sees the old manifest
@@ -133,22 +139,19 @@ object MptManifest {
     }) catch { case e: IOException => throw new IllegalArgumentException(s"corrupt mpt schema in $path", e) }
     val zones = new MptDataFile.Chunks(bytes, bytes.length - in.available, path.toFile)
     val n = zones.rowCount
-    val ids = zones.decode(0, IntegerType, null)
-    val files = zones.decode(1, StringType, null)
-    val rowCounts = zones.decode(2, LongType, null)
+    val ids = zones.decode(0, IntegerType, null).getInts(0, n)
+    val files = { val v = zones.decode(1, StringType, null); Array.tabulate(n)(v.getUTF8String(_).toString) }
+    val rowCounts = zones.decode(2, LongType, null).getLongs(0, n)
     // Bounds as typed columns, through the conversion the reader's row
-    // filter sees values through.
+    // filter sees values through; a partition has a range where they are
+    // not NULL.
     val columns = schema.fields.indices.map { i =>
-      val dt = schema.fields(i).dataType
-      def bounds(col: Int) = MptReaderFactory.columnVec(zones.decode(col, dt, null), dt, n)
-      (bounds(3 + 3 * i), bounds(4 + 3 * i), zones.decode(5 + 3 * i, LongType, null))
-    }
-    val parts = Vector.tabulate(n) { r =>
-      val stats = columns.map { case (mins, maxs, nulls) =>
-        ColumnStats(Option(mins.get(r)), Option(maxs.get(r)), nulls.getLong(r))
-      }.toVector
-      MptPartitionEntry(ids.getInt(r), files.getUTF8String(r).toString, rowCounts.getLong(r), stats)
-    }
-    MptManifest(schema, parts)
+      val f = schema.fields(i)
+      def bounds(col: Int) = MptReaderFactory.columnVec(zones.decode(col, f.dataType, null), f.dataType, n)
+      val (mins, maxs) = (bounds(3 + 3 * i), bounds(4 + 3 * i))
+      val state = Array.tabulate(n)(r => if (mins.isNull(r) || maxs.isNull(r)) ColumnArrays.NoRange else ColumnArrays.Ranged)
+      f.name -> ColumnArrays.of(state, zones.decode(5 + 3 * i, LongType, null).getLongs(0, n), mins, maxs)
+    }.toMap
+    new MptManifest(schema, files, new TableStats(ids, rowCounts, columns, null))
   }
 }

@@ -90,7 +90,7 @@ final class MptScanBuilder(dir: String, manifest: MptManifest)
     with SupportsPushDownLimit
     with SupportsPushDownTopN {
 
-  // Scan-set state, as positions in `manifest.partitions` (and its stats),
+  // Scan-set state, as positions in the manifest's zone maps (`manifest.stats`),
   // refined by each pushdown in Catalyst's order: filters → limit / topN →
   // column pruning. Without a predicate every non-empty partition is in the
   // scan set and fully matching (§4.2).
@@ -179,19 +179,18 @@ final class MptScanBuilder(dir: String, manifest: MptManifest)
         (TopKPruner.processingOrder(manifest.stats, statically, plan.orderCol, plan.desc), heap)
     }
     val stats = new ScanMetrics.Stats(dir, heap)
-    stats.totalPartitions = manifest.partitions.size
+    stats.totalPartitions = manifest.files.length
     stats.afterFilterPruning = afterFilterCount
     stats.afterLimitPruning = afterLimitCount
     stats.fullyMatching = fully.length
     stats.limitOutcome = limitOutcomeStr
     stats.afterTopKStatic = ordered.length
     val scanId = ScanMetrics.register(stats)
-    val certified = new Array[Boolean](manifest.partitions.size)
+    val certified = new Array[Boolean](manifest.files.length)
     fully.foreach(certified(_) = true)
     val parts = ordered.toVector.map { i =>
-      val e = manifest.partitions(i)
       val best = topK.flatMap(p => Option(TopKPruner.best(manifest.stats.column(p.orderCol), i, p.desc)))
-      MptInputPartition(dir, e.file, e.id, best, scanId, certified(i))
+      MptInputPartition(dir, manifest.files(i), manifest.stats.ids(i), best, scanId, certified(i))
     }
     new MptScan(dir, manifest.schema, readSchema, parts, ordered.iterator.map(manifest.stats.rowCount).sum,
                 rowFilter, topK)

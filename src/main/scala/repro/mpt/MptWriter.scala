@@ -84,7 +84,7 @@ object MptWriter {
     MptManifest.write(dir, manifest)
     // The new manifest is live: drop data files it does not reference,
     // including those of an earlier write or an older format.
-    val live = manifest.partitions.map(_.file).toSet
+    val live = manifest.files.toSet
     Option(new File(dir).listFiles()).toSeq.flatten
       .filter(f => f.getName.startsWith("part-") && !live(f.getName))
       .foreach(_.delete())

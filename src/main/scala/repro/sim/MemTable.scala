@@ -41,14 +41,10 @@ object MemPartition {
 /** An in-memory micro-partitioned table. */
 final class MemTable(val name: String, val schema: IndexedSeq[String],
                      val partitions: Vector[MemPartition]) {
-  /** Zone maps of every partition, as records and as column arrays. Folded
-    * and transposed once, on first use of either.
+  /** Zone maps of every partition, as records and as column arrays, built
+    * once on first use of either.
     */
-  lazy val stats: TableStats = {
-    val s = TableStats.of(partitions.map(_.meta))
-    schema.foreach(s.column)
-    s
-  }
+  lazy val stats: TableStats = TableStats.of(partitions.map(_.meta))
   def metas: IndexedSeq[PartitionMeta] = stats.metas
   def partition(id: Int): MemPartition = partitions(id)
   def numPartitions: Int = partitions.size

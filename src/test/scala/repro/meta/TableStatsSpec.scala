@@ -2,7 +2,7 @@ package repro.meta
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.core.{FilterPruner, MatchClass, PExpr}
+import repro.core.{ColumnVec, FilterPruner, MatchClass, PExpr}
 import Scalar._
 
 class TableStatsSpec extends AnyFunSuite {
@@ -46,5 +46,21 @@ class TableStatsSpec extends AnyFunSuite {
     val (fully, not) = (MatchClass.FullyMatching, MatchClass.NotMatching)
     assert(classes == Seq(Seq(fully, not), Seq(not, fully), Seq(fully, not), Seq(fully, not)))
     assert(TableStats.ofSeq(low).metas eq low)
+  }
+
+  test("a partition whose min and max differ in family keeps the column boxed and exact; a missing column is absent") {
+    // The zone-map fold over a mixed column gives a long min and a double max.
+    val mixed = ColumnVec.of(Array[Scalar](LongV(2), DoubleV(2.5), null)).stats(3)
+    assert(mixed == ColumnStats(Some(LongV(2)), Some(DoubleV(2.5)), 1))
+    val t = TableStats.of(Vector(meta(0, 4, "x" -> cs(LongV(1), LongV(3))), meta(1, 3, "x" -> mixed), meta(2, 4)))
+    t.column("x") match {
+      case x: ColumnArrays.Scalars =>
+        assert(x.state.toSeq == Seq(ColumnArrays.Ranged, ColumnArrays.Ranged, ColumnArrays.Absent))
+        assert(x.nullCount.toSeq == Seq(0L, 1L, 0L))
+        assert((x.min(0), x.max(0)) == ((LongV(1), LongV(3))))
+        assert((x.min(1), x.max(1)) == ((LongV(2), DoubleV(2.5))))
+      case other => fail(s"expected boxed scalars for a column with a mixed partition, got $other")
+    }
+    assert(t.metas.indices.map(t.record) == t.metas)
   }
 }

@@ -10,7 +10,7 @@ import org.apache.spark.sql.functions.{col, lit}
 import org.apache.spark.sql.types._
 
 import repro.SparkSpec
-import repro.meta.{ColumnStats, Scalar}
+import repro.meta.{ColumnArrays, ColumnStats, Scalar, TableStats}
 
 /** Table writes replace a table whole, and tables of an older format are
   * refused when they are loaded, not in the middle of a query.
@@ -124,5 +124,60 @@ class MptManifestSpec extends SparkSpec {
         assert(rowsOf(readMpt(dir).filter(f)) == rowsOf(df.filter(f)), s"column ${n.map(_.toInt)}: $f")
       }
     }
+  }
+
+  /** A column's arrays: its kind, and per partition its state, null count
+    * and, where ranged, its bounds with exact double bits.
+    */
+  private def described(a: ColumnArrays): Seq[Any] = {
+    val kind = a match {
+      case l: ColumnArrays.Longs => s"Longs(dates = ${l.dates})"
+      case other                 => other.getClass.getSimpleName
+    }
+    kind +: a.state.indices.map { i =>
+      val range =
+        if (a.state(i) != ColumnArrays.Ranged) Nil
+        else exact(ColumnStats(Some(a.bound(i, max = false)), Some(a.bound(i, max = true)), 0)).take(2)
+      (a.state(i), a.nullCount(i), range)
+    }
+  }
+
+  test("the manifest decodes into the zone-map arrays its records would give") {
+    val dir = tmpDir("arrays")
+    val schema = StructType(Seq("l" -> LongType, "i" -> IntegerType, "d" -> DoubleType, "s" -> StringType,
+                                "dt" -> DateType, "b" -> BooleanType, "n" -> LongType)
+      .map { case (c, t) => StructField(c, t) })
+    def date(d: Int) = java.sql.Date.valueOf(java.time.LocalDate.ofEpochDay(d.toLong))
+    // One micro-partition per group, two of them empty; "n" is NULL throughout.
+    val groups = Seq(
+      Seq(Row(1L, 3, -0.0, "b", date(5), true, null), Row(2L, null, 0.0, "a", date(-1), false, null)),
+      Seq(Row(3L, Int.MinValue, Double.NaN, null, null, null, null),
+          Row(Long.MaxValue, Int.MaxValue, 1.5, "\uD83D\uDE00", date(10958), true, null)),
+      Seq.empty,
+      Seq(Row(Long.MinValue, null, null, null, null, null, null)),
+      Seq.empty)
+    val df = spark.createDataFrame(spark.sparkContext.parallelize(groups, groups.size).flatMap(identity), schema)
+    val m = MptWriter.write(df, dir, groups.size, MptWriter.Layout.AsIs)
+    assert(m.partitions.map(_.rowCount) == Vector(2L, 2L, 0L, 1L, 0L))
+
+    val read = MptManifest.read(dir)
+    assert(read.partitions.map(e => (e.id, e.file, e.rowCount, e.stats.map(exact))) ==
+           m.partitions.map(e => (e.id, e.file, e.rowCount, e.stats.map(exact))))
+    val fromRecords = TableStats.of(read.metas.toIndexedSeq)
+    schema.fieldNames.foreach { c =>
+      assert(described(read.stats.column(c)) == described(fromRecords.column(c)), c)
+      assert(described(read.stats.column(c)) == described(m.stats.column(c)), c)
+    }
+    assert(schema.fieldNames.toSeq.map(c => described(read.stats.column(c)).head) ==
+           Seq("Longs(dates = false)", "Longs(dates = false)", "Doubles", "Strings", "Longs(dates = true)",
+               "Bools", "Scalars"))
+    read.stats.column("d") match {
+      case d: ColumnArrays.Doubles =>
+        assert(java.lang.Double.doubleToRawLongBits(d.min(0)) == java.lang.Double.doubleToRawLongBits(-0.0))
+        assert(d.min(1) == 1.5 && d.max(1).isNaN)
+      case other => fail(s"expected doubles, got $other")
+    }
+    assert(read.stats.column("n").state.toSeq == Seq.fill(5)(ColumnArrays.NoRange))
+    assert(read.stats.column("i").nullCount.toSeq == Seq(1L, 0L, 0L, 1L, 0L))
   }
 }
