@@ -5,14 +5,11 @@ import java.nio.{ByteBuffer, ByteOrder}
 import java.nio.channels.FileChannel
 import java.nio.file.{Files, Path, StandardOpenOption}
 
-import scala.collection.mutable
-
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.execution.vectorized.OnHeapColumnVector
 import org.apache.spark.sql.types._
-import org.apache.spark.unsafe.types.UTF8String
 
-import repro.meta.{ColumnStats, Scalar}
+import repro.meta.ColumnStats
 
 /** The data file of one micro-partition: one typed, length-prefixed chunk
   * per column, in manifest schema order (a PAX layout).
@@ -38,31 +35,50 @@ object MptDataFile {
 
   // ---- writing -------------------------------------------------------------
 
-  /** Collects one partition's rows column by column, with each column's zone
-    * map, and writes them as one data file. Rows arrive in Spark's internal
-    * form, so values are read unboxed: dates as epoch days, strings as their
-    * UTF-8 bytes. A row is not kept, so a reused row object is safe.
+  /** Collects one partition's rows, appending each column's values to a
+    * Spark vector — the vector type [[Chunks.decode]] fills — and writes
+    * them as one data file. Rows arrive in Spark's internal form, so values
+    * are read unboxed: dates as epoch days, strings as their UTF-8 bytes. A
+    * row is not kept, so a reused row object is safe.
     */
   final class Writer(schema: StructType) {
-    private val columns: Array[ColumnWriter] = schema.fields.map(f => ColumnWriter(f.dataType))
+    MptSchema.validate(schema)
+    private val types: Array[DataType] = schema.fields.map(_.dataType)
+    private val columns: Array[OnHeapColumnVector] = types.map(new OnHeapColumnVector(1024, _))
     private var rows = 0
 
     def add(row: InternalRow): Unit = {
       var i = 0
-      while (i < columns.length) { columns(i).add(row, i, rows); i += 1 }
+      while (i < columns.length) {
+        val v = columns(i)
+        if (row.isNullAt(i)) v.appendNull()
+        else types(i) match {
+          case LongType               => v.appendLong(row.getLong(i))
+          case IntegerType | DateType => v.appendInt(row.getInt(i))
+          case DoubleType             => v.appendDouble(row.getDouble(i))
+          case BooleanType            => v.appendBoolean(row.getBoolean(i))
+          case StringType             => val b = row.getUTF8String(i).getBytes; v.appendByteArray(b, 0, b.length)
+        }
+        i += 1
+      }
       rows += 1
     }
 
     def rowCount: Long = rows
-    def stats: Vector[ColumnStats] = columns.map(_.stats).toVector
+
+    /** Each column's zone map, folded by [[repro.core.ColumnVec.stats]] over
+      * the column as the manifest reader and the row filter see it.
+      */
+    def stats: Vector[ColumnStats] =
+      Vector.tabulate(columns.length)(i => MptReaderFactory.columnVec(columns(i), types(i), rows).stats(rows))
 
     /** The data file's bytes, ready to be written. */
     def image: ByteBuffer = {
-      val lengths = columns.map(_.chunkLength(rows))
+      val lengths = Array.tabulate(columns.length)(i => chunkLength(columns(i), types(i), rows))
       val out = ByteBuffer.allocate(12 + 4 * columns.length + lengths.sum).order(LE)
       out.putInt(Magic).putInt(rows).putInt(columns.length)
       lengths.foreach(out.putInt)
-      columns.foreach(_.writeChunk(out, rows))
+      for (i <- columns.indices) encode(columns(i), types(i), rows, out)
       out.flip()
     }
 
@@ -83,156 +99,31 @@ object MptDataFile {
     } finally ch.close()
   }
 
-  /** A growable little-endian byte buffer. */
-  private final class Sink {
-    var buf: ByteBuffer = ByteBuffer.allocate(4096).order(LE)
-    def reserve(n: Int): ByteBuffer = {
-      if (buf.remaining < n) {
-        val grown = ByteBuffer.allocate(math.max(2 * buf.capacity, buf.position + n)).order(LE)
-        buf.flip()
-        buf = grown.put(buf)
-      }
-      buf
-    }
-    def length: Int = buf.position
-    def writeTo(out: ByteBuffer): Unit = out.put(buf.array, 0, buf.position)
-  }
+  /** The length of the chunk [[encode]] writes for `rows` rows of `v`. */
+  private def chunkLength(v: OnHeapColumnVector, dt: DataType, rows: Int): Int =
+    1 + (if (v.hasNull) rows else 0) +
+      (if (dt == StringType) 4 * (rows + 1) + v.arrayData().getElementsAppended else rows * dt.defaultSize)
 
-  /** One column's values, null flags and zone map. The zone map follows
-    * [[Scalar.compare]]: on ties the first value is kept, which is what
-    * tells -0.0 from 0.0.
+  /** Write `rows` rows of `v` as the chunk [[Chunks.decode]] reads back into
+    * such a vector: null flags if some row is NULL, then the values, a NULL
+    * row's as 0 or an empty string. A vector's string bytes are in row
+    * order, a NULL row adding none, so they are the chunk's string bytes.
     */
-  private sealed abstract class ColumnWriter {
-    protected val values = new Sink
-    private val nullRows = mutable.ArrayBuilder.make[Int]
-    private var nulls = 0
-
-    final def add(row: InternalRow, i: Int, rowId: Int): Unit =
-      if (row.isNullAt(i)) { nullRows += rowId; nulls += 1; putNull() }
-      else put(row, i)
-
-    protected def putNull(): Unit
-    protected def put(row: InternalRow, i: Int): Unit
-    /** Min and max, or None if every value was NULL. */
-    protected def range: Option[(Scalar, Scalar)]
-
-    final def stats: ColumnStats = {
-      val r = range
-      ColumnStats(r.map(_._1), r.map(_._2), nulls)
+  private def encode(v: OnHeapColumnVector, dt: DataType, rows: Int, out: ByteBuffer): Unit = {
+    def each(put: Int => Unit): Unit = { var r = 0; while (r < rows) { put(r); r += 1 } }
+    out.put((if (v.hasNull) 1 else 0).toByte)
+    if (v.hasNull) each(r => out.put((if (v.isNullAt(r)) 1 else 0).toByte))
+    dt match {
+      case LongType               => each(r => out.putLong(if (v.isNullAt(r)) 0L else v.getLong(r)))
+      case DoubleType             => each(r => out.putDouble(if (v.isNullAt(r)) 0.0 else v.getDouble(r)))
+      case IntegerType | DateType => each(r => out.putInt(if (v.isNullAt(r)) 0 else v.getInt(r)))
+      case BooleanType            => each(r => out.put((if (!v.isNullAt(r) && v.getBoolean(r)) 1 else 0).toByte))
+      case StringType =>
+        var end = 0
+        out.putInt(end)
+        each { r => if (!v.isNullAt(r)) end += v.getArrayLength(r); out.putInt(end) }
+        out.put(v.arrayData().getBytes(0, end))
     }
-
-    protected def valuesLength: Int = values.length
-    protected def writeValues(out: ByteBuffer): Unit = values.writeTo(out)
-
-    final def chunkLength(rows: Int): Int = 1 + (if (nulls > 0) rows else 0) + valuesLength
-
-    final def writeChunk(out: ByteBuffer, rows: Int): Unit = {
-      if (nulls == 0) out.put(0.toByte)
-      else {
-        val flags = new Array[Byte](rows)
-        nullRows.result().foreach(r => flags(r) = 1)
-        out.put(1.toByte).put(flags)
-      }
-      writeValues(out)
-    }
-  }
-
-  private object ColumnWriter {
-    def apply(dt: DataType): ColumnWriter = dt match {
-      case LongType    => new LongWriter
-      case IntegerType => new IntWriter(Scalar.LongV(_))
-      case DateType    => new IntWriter(Scalar.DateV(_))
-      case DoubleType  => new DoubleWriter
-      case BooleanType => new BooleanWriter
-      case StringType  => new StringWriter
-      case other       => throw new IllegalArgumentException(s"unsupported: $other")
-    }
-  }
-
-  private final class LongWriter extends ColumnWriter {
-    private var seen = false
-    private var lo, hi = 0L
-    protected def putNull(): Unit = values.reserve(8).putLong(0L)
-    protected def put(row: InternalRow, i: Int): Unit = {
-      val v = row.getLong(i)
-      values.reserve(8).putLong(v)
-      if (!seen) { lo = v; hi = v; seen = true }
-      else if (v < lo) lo = v
-      else if (v > hi) hi = v
-    }
-    protected def range = if (seen) Some((Scalar.LongV(lo), Scalar.LongV(hi))) else None
-  }
-
-  /** Int and date columns (dates are epoch days in an internal row): four
-    * bytes per value; `scalar` types the range.
-    */
-  private final class IntWriter(scalar: Int => Scalar) extends ColumnWriter {
-    private var seen = false
-    private var lo, hi = 0
-    protected def putNull(): Unit = values.reserve(4).putInt(0)
-    protected def put(row: InternalRow, i: Int): Unit = {
-      val v = row.getInt(i)
-      values.reserve(4).putInt(v)
-      if (!seen) { lo = v; hi = v; seen = true }
-      else if (v < lo) lo = v
-      else if (v > hi) hi = v
-    }
-    protected def range = if (seen) Some((scalar(lo), scalar(hi))) else None
-  }
-
-  private final class DoubleWriter extends ColumnWriter {
-    private var seen = false
-    private var lo, hi = 0.0
-    protected def putNull(): Unit = values.reserve(8).putDouble(0.0)
-    protected def put(row: InternalRow, i: Int): Unit = {
-      val v = row.getDouble(i)
-      values.reserve(8).putDouble(v)
-      if (!seen) { lo = v; hi = v; seen = true }
-      else {
-        if (Scalar.compareDoubles(v, lo) < 0) lo = v
-        if (Scalar.compareDoubles(hi, v) < 0) hi = v
-      }
-    }
-    protected def range = if (seen) Some((Scalar.DoubleV(lo), Scalar.DoubleV(hi))) else None
-  }
-
-  private final class BooleanWriter extends ColumnWriter {
-    private var seen = false
-    private var lo, hi = false
-    protected def putNull(): Unit = values.reserve(1).put(0.toByte)
-    protected def put(row: InternalRow, i: Int): Unit = {
-      val v = row.getBoolean(i)
-      values.reserve(1).put((if (v) 1 else 0).toByte)
-      if (!seen) { lo = v; hi = v; seen = true }
-      else { lo &&= v; hi ||= v }
-    }
-    protected def range = if (seen) Some((Scalar.BoolV(lo), Scalar.BoolV(hi))) else None
-  }
-
-  /** Copies each value's UTF-8 bytes and folds min/max in unsigned byte
-    * order, which is [[Scalar.compareStrings]]' code-point order; the bounds
-    * are decoded once, when the zone map is read.
-    */
-  private final class StringWriter extends ColumnWriter {
-    private val offsets = new Sink
-    offsets.reserve(4).putInt(0)
-    private var lo, hi: UTF8String = null
-    protected def putNull(): Unit = offsets.reserve(4).putInt(values.length)
-    protected def put(row: InternalRow, i: Int): Unit = {
-      val s = row.getUTF8String(i)
-      s.writeTo(values.reserve(s.numBytes))
-      offsets.reserve(4).putInt(values.length)
-      // The row's bytes may be reused after this call: keep copies.
-      if (lo == null) { lo = s.clone(); hi = lo }
-      else {
-        if (s.binaryCompare(lo) < 0) lo = s.clone()
-        if (hi.binaryCompare(s) < 0) hi = s.clone()
-      }
-    }
-    protected def range =
-      if (lo != null) Some((Scalar.StringV(lo.toString), Scalar.StringV(hi.toString))) else None
-    override protected def valuesLength: Int = offsets.length + values.length
-    override protected def writeValues(out: ByteBuffer): Unit = { offsets.writeTo(out); values.writeTo(out) }
   }
 
   // ---- reading -------------------------------------------------------------

@@ -14,7 +14,9 @@ import repro.meta.{ColumnArrays, ColumnStats, PartitionMeta, Scalar, TableStats}
 
 /** The mpt table manifest: the schema, each partition's data file and the
   * partitions' zone maps as [[TableStats]] arrays, all by partition position.
-  * `partitions` and `metas` are record views built from them.
+  * `partitions` and `metas` are record views built from them. A manifest is
+  * only ever decoded from its bytes: those [[MptManifest.read]] reads, or
+  * those [[MptManifest.write]] has just written.
   *
   * This is the moral equivalent of Snowflake's metadata service / an Iceberg
   * manifest file: it lets the planner prune micro-partitions without opening
@@ -36,7 +38,7 @@ import repro.meta.{ColumnArrays, ColumnStats, PartitionMeta, Scalar, TableStats}
   * ([[repro.meta.Scalar.compareStrings]]) on supplementary characters, and
   * `mpt-v3` manifests were text.
   */
-final class MptManifest(val schema: StructType, val files: Array[String], val stats: TableStats) {
+final class MptManifest private (val schema: StructType, val files: Array[String], val stats: TableStats) {
   /** Partition `i`'s entry, with its stats in schema order; built on first read. */
   lazy val partitions: Vector[MptPartitionEntry] = Vector.tabulate(files.length) { i =>
     MptPartitionEntry(stats.ids(i), files(i), stats.rowCount(i),
@@ -56,27 +58,24 @@ object MptManifest {
   val FileName = "_manifest.mpt"
   val Version = "mpt-v4"
 
-  /** The manifest of `entries`, whose stats are in `schema`'s column order. */
-  def apply(schema: StructType, entries: Vector[MptPartitionEntry]): MptManifest =
-    new MptManifest(schema, entries.map(_.file).toArray, TableStats.of(entries.map { e =>
-      PartitionMeta(e.id, e.rowCount, schema.fieldNames.zip(e.stats).toMap)
-    }))
-
-  /** Write the manifest to a temporary file in `dir`, then move it over
+  /** Write the manifest of `entries`, whose stats are in `schema`'s column
+    * order, and return it as [[read]] decodes it from the bytes written.
+    *
+    * The bytes go to a temporary file in `dir`, which then moves over
     * `_manifest.mpt` in one atomic step, so a reader sees the old manifest
     * or the new one, never a partial one. The temporary file is forced to
     * the device before the move and the directory after it, so the new
     * manifest survives a power loss once this returns.
     */
-  def write(dir: String, manifest: MptManifest): Unit = {
-    val fields = manifest.schema.fields
+  def write(dir: String, schema: StructType, entries: Seq[MptPartitionEntry]): MptManifest = {
+    val fields = schema.fields
     val head = new ByteArrayOutputStream
     val out = new DataOutputStream(head)
     out.write(s"$Version\n".getBytes(StandardCharsets.UTF_8))
     out.writeInt(fields.length)
     fields.foreach { f => out.writeUTF(f.name); out.writeUTF(MptSchema.typeName(f.dataType)) }
-    val zones = new MptDataFile.Writer(zoneSchema(manifest.schema))
-    manifest.partitions.foreach { p =>
+    val zones = new MptDataFile.Writer(zoneSchema(schema))
+    entries.foreach { p =>
       val row = new Array[Any](3 + 3 * fields.length)
       row(0) = p.id; row(1) = UTF8String.fromString(p.file); row(2) = p.rowCount
       p.stats.zip(fields).zipWithIndex.foreach { case ((s, f), i) =>
@@ -87,15 +86,17 @@ object MptManifest {
       zones.add(new GenericInternalRow(row))
     }
     val image = zones.image
-    val bytes = ByteBuffer.allocate(head.size + image.remaining).put(head.toByteArray).put(image).flip()
+    out.write(image.array, 0, image.remaining)
+    val bytes = head.toByteArray
     Files.createDirectories(Paths.get(dir))
     val tmp = Paths.get(dir, s"$FileName.${java.util.UUID.randomUUID()}.tmp")
     try {
-      MptDataFile.writeForced(tmp, bytes)
+      MptDataFile.writeForced(tmp, ByteBuffer.wrap(bytes))
       Files.move(tmp, Paths.get(dir, FileName),
                  StandardCopyOption.ATOMIC_MOVE, StandardCopyOption.REPLACE_EXISTING)
     } finally Files.deleteIfExists(tmp)
     force(Paths.get(dir))
+    decode(dir, bytes)
   }
 
   /** The zone-map table of a table with `schema`: id, file and row count,
@@ -125,7 +126,12 @@ object MptManifest {
   def read(dir: String): MptManifest = {
     val path = Paths.get(dir, FileName)
     require(Files.exists(path), s"not an mpt table (no $FileName): $dir")
-    val bytes = Files.readAllBytes(path)
+    decode(dir, Files.readAllBytes(path))
+  }
+
+  /** The manifest of table `dir` whose file holds `bytes`. */
+  private def decode(dir: String, bytes: Array[Byte]): MptManifest = {
+    val path = Paths.get(dir, FileName)
     val nl = bytes.indexOf('\n'.toByte)
     val header = if (nl < 0) "" else new String(bytes, 0, nl, StandardCharsets.UTF_8)
     require(header == Version,

@@ -14,7 +14,8 @@ import org.apache.spark.sql.types.StructType
   * The physical layout is the knob the paper keeps pointing at: sorted /
   * clustered layouts give pruning-friendly disjoint ranges, random layouts
   * are the worst case. Stats are computed in the writing task, exactly like
-  * an engine computes SMAs while flushing a micro-partition.
+  * an engine computes SMAs while flushing a micro-partition, by the fold the
+  * simulator uses ([[repro.core.ColumnVec.stats]]).
   *
   * Each micro-partition is one partition of the arranged DataFrame's
   * exchange, but a write runs one Spark task per core, not one per
@@ -49,6 +50,10 @@ object MptWriter {
     */
   private def column(c: String): Column = col(QuotingUtils.quoteIdentifier(c))
 
+  /** Write `df` to `dir` as `numPartitions` micro-partitions arranged by
+    * `layout`, and return the manifest written, as [[MptManifest.read]]
+    * reads it.
+    */
   def write(df: DataFrame, dir: String, numPartitions: Int, layout: Layout): MptManifest = {
     MptSchema.validate(df.schema)
     val arranged = layout match {
@@ -80,8 +85,7 @@ object MptWriter {
     }.coalesce(tasks).collect().sortBy(_.id).toVector
 
     // Re-number densely (some layouts may produce empty partitions).
-    val manifest = MptManifest(schema, entries.zipWithIndex.map { case (e, i) => e.copy(id = i) })
-    MptManifest.write(dir, manifest)
+    val manifest = MptManifest.write(dir, schema, entries.zipWithIndex.map { case (e, i) => e.copy(id = i) })
     // The new manifest is live: drop data files it does not reference,
     // including those of an earlier write or an older format.
     val live = manifest.files.toSet

@@ -6,8 +6,8 @@ import org.apache.spark.sql.SparkSession
 
 import repro.SynthData
 import repro.core.FilterPruner
-import repro.meta.PartitionMeta
-import repro.mpt.{MptManifest, MptWriter}
+import repro.meta.TableStats
+import repro.mpt.MptWriter
 
 /** §8.3 — pruning ratios of TPC-H on a clustered layout.
   *
@@ -36,9 +36,9 @@ object TpchPruning {
     }
   }
 
-  /** Build the four clustered mpt tables and return their partition metadata. */
+  /** Build the four clustered mpt tables and return their zone maps. */
   def buildTables(spark: SparkSession, sf: Double, baseDir: Option[String] = None)
-      : Map[String, Seq[PartitionMeta]] = {
+      : Map[String, TableStats] = {
     val dir = baseDir.getOrElse(Files.createTempDirectory("tpch-mpt").toFile.getAbsolutePath)
     // Partition counts ∝ table size; lineitem at SF 0.1 → 120 partitions of
     // ~5 000 rows, mirroring SF100's micro-partition granularity.
@@ -49,20 +49,18 @@ object TpchPruning {
       ("part",     SynthData.part(spark, sf),       4.0, MptWriter.Layout.Random(2)))
     specs.map { case (name, df, partsAtSf01, layout) =>
       val n = math.max(1, (partsAtSf01 * (sf / 0.1)).round.toInt)
-      val tableDir = s"$dir/$name"
-      MptWriter.write(df, tableDir, n, layout)
-      name -> MptManifest.read(tableDir).metas
+      name -> MptWriter.write(df, s"$dir/$name", n, layout).stats
     }.toMap
   }
 
   /** Run compile-time filter pruning for every query over the manifests. */
-  def run(tables: Map[String, Seq[PartitionMeta]]): Result = Result(
+  def run(tables: Map[String, TableStats]): Result = Result(
     TpchQueries.queries.map { q =>
       var total = 0; var pruned = 0
       q.scans.foreach { s =>
-        val parts = tables(s.table)
-        total += parts.size
-        pruned += FilterPruner.classifyOpt(parts, s.pred).prunedCount
+        val stats = tables(s.table)
+        total += stats.ids.length
+        pruned += FilterPruner.classifyOpt(stats, s.pred).prunedCount
       }
       QueryResult(q.name, total, pruned)
     })

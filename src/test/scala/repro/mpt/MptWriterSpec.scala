@@ -139,6 +139,36 @@ class MptWriterSpec extends SparkSpec {
     }
   }
 
+  test("property: AsIs and Random write every data file byte for byte as the Row writer does") {
+    def date(days: Long) = java.sql.Date.valueOf(java.time.LocalDate.ofEpochDay(days))
+    // Whatever the generator draws: NULLs in every type, -0.0 and 0.0, NaN
+    // and supplementary characters.
+    val fixed = Seq(
+      Row(1000L, null, null, null, null, null, null, null),
+      Row(1001L, Long.MinValue, Int.MaxValue, -0.0, "\uD83D\uDE00", date(-25000), true, null),
+      Row(1002L, Long.MaxValue, Int.MinValue, 0.0, "a\uD83D\uDE00", date(47000), false, null),
+      Row(1003L, 0L, 0, Double.NaN, "\uFFFF", date(0), null, null))
+    val gen = for {
+      rs <- rows(40); slices <- Gen.choose(1, 9); n <- Gen.choose(1, 12); seed <- Gen.choose(0L, 99L)
+      layout <- Gen.oneOf[MptWriter.Layout](MptWriter.Layout.AsIs, MptWriter.Layout.Random(seed))
+    } yield (rs ++ fixed, slices, n, layout)
+    var empty = 0
+    forAllSeeded(gen, n = 16, seed0 = 17L) { case (rs, slices, n, layout) =>
+      val df = frame(spark, rs, slices)
+      val (oldDir, newDir) = (tempDir(), tempDir())
+      val old = RowMptWriter.write(df, oldDir, n, layout)
+      val now = MptWriter.write(df, newDir, n, layout)
+      val ctx = s"$layout, n = $n, $slices slices, ${rs.size} rows"
+      assert(now.partitions.size == old.partitions.size, ctx)
+      now.partitions.zip(old.partitions).foreach { case (a, b) =>
+        val (x, y) = (Files.readAllBytes(new File(newDir, a.file).toPath), Files.readAllBytes(new File(oldDir, b.file).toPath))
+        assert(x.sameElements(y), s"$ctx, partition ${a.id}: ${x.length} bytes against ${y.length}")
+        if (a.rowCount == 0) empty += 1
+      }
+    }
+    assert(empty > 0, "no empty partition was written")
+  }
+
   test("an empty DataFrame writes what the Row writer wrote") {
     val df = frame(spark, Seq.empty, 3)
     for (layout <- Seq(MptWriter.Layout.SortedBy("l"), MptWriter.Layout.Random(1), MptWriter.Layout.AsIs)) {

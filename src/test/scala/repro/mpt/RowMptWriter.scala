@@ -49,8 +49,7 @@ object RowMptWriter {
     }.collect().sortBy(_.id).toVector
 
     // Re-number densely (some layouts may produce empty partitions).
-    val manifest = MptManifest(schema, entries.zipWithIndex.map { case (e, i) => e.copy(id = i) })
-    MptManifest.write(dir, manifest)
+    val manifest = MptManifest.write(dir, schema, entries.zipWithIndex.map { case (e, i) => e.copy(id = i) })
     // The new manifest is live: drop data files it does not reference,
     // including those of an earlier write or an older format.
     val live = manifest.partitions.map(_.file).toSet
